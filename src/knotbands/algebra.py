@@ -466,14 +466,19 @@ def fp_abelian_invariants(
     generators: int, relations: Iterable[Sequence[int]]
 ) -> AbelianInvariants:
     """Invariants of the abelian group <g_1..g_m | rows of relations>."""
+    if type(generators) is not int:
+        raise ValueError(f"generator count must be an integer, got {generators!r}")
     if generators < 0:
         raise ValueError("generator count must be nonnegative")
-    rel = [list(map(int, row)) for row in relations]
+    rel = [list(row) for row in relations]
     for row in rel:
         if len(row) != generators:
             raise ValueError(
                 f"relation length {len(row)} does not match generator count {generators}"
             )
+        for x in row:
+            if type(x) is not int:
+                raise ValueError(f"relation entries must be integers, got {x!r}")
     if not rel:
         return AbelianInvariants(generators, ())
     factors, rank = smith_normal_form(rel)

@@ -4,9 +4,9 @@ A surface is presented by per-band half-twist counts, the cyclic order in
 which band ends meet the disk, and an ordered list of band-over-band
 crossing events. ``compile_curves`` turns a surface plus a selection of
 curves (boundary K, longitude lambda, band cores, pushoffs, the curve
-gamma through the 2-sided cores) into a crossing-list diagram, from which
-framings and the Gordon-Litherland and Seifert forms are exact linking
-computations.
+gamma through the 2-sided cores) into a crossing-list diagram plus counted
+twist-box crossings, from which framings and the Gordon-Litherland and
+Seifert forms are exact linking computations.
 
 Geometric conventions baked into the compiler:
 
@@ -17,7 +17,9 @@ Geometric conventions baked into the compiler:
 - All half twists of a band live in a single twist box next to end A.
   Inside the box the carried strands braid: each half twist crosses every
   pair of strands once (positive twist: the strand entering at the lower
-  transverse position goes over).
+  transverse position goes over). The box crossings are counted in closed
+  form (``twist_box_counts``), not listed, so the cost of a box does not
+  grow with |h|.
 - At a band-over-band event, every strand of the over band crosses every
   strand of the under band once; the event sign times the two strand
   directions gives each crossing sign.
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .diagram import Crossing, CrossingList, linking_number
+from .diagram import Crossing, CrossingList, classical_linking, over_counts
 
 
 class MultipleBoundaryError(ValueError):
@@ -78,8 +80,8 @@ class BandSurface:
         route: Iterable = (),
     ) -> "BandSurface":
         return BandSurface(
-            tuple(Band(int(h)) for h in half_twists),
-            tuple((int(i), str(e)) for i, e in attach),
+            tuple(Band(_int(h, "half_twists")) for h in half_twists),
+            tuple((_int(i, "attach band index"), str(e)) for i, e in attach),
             tuple(_as_event(ev) for ev in route),
         )
 
@@ -113,24 +115,17 @@ class BandSurface:
     def from_json(data: dict) -> "BandSurface":
         """Accepts attach entries as ["band", i, "end", "A"] or plain [i, "A"]."""
         try:
-            bands = [int(b["half_twists"]) for b in data["bands"]]
+            bands = [b["half_twists"] for b in data["bands"]]
             attach = []
             for entry in data["attach"]:
                 if len(entry) == 4:
-                    attach.append((int(entry[1]), str(entry[3])))
+                    attach.append((entry[1], entry[3]))
                 else:
-                    attach.append((int(entry[0]), str(entry[1])))
-            route = [
-                RouteEvent(
-                    over=(int(ev["over"][0]), int(ev["over"][1])),
-                    under=(int(ev["under"][0]), int(ev["under"][1])),
-                    sign=int(ev["sign"]),
-                )
-                for ev in data["route"]
-            ]
+                    attach.append((entry[0], entry[1]))
+            route = [(ev["over"], ev["under"], ev["sign"]) for ev in data["route"]]
+            return BandSurface.build(bands, attach, route)
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ValueError(f"malformed band surface JSON: {exc}") from exc
-        return BandSurface.build(bands, attach, route)
 
 
 @dataclass(frozen=True)
@@ -141,11 +136,22 @@ class SurfaceShape:
     boundary_components: int
 
 
+def _int(x, what: str) -> int:
+    """x itself if it is an int; floats and bools are rejected, not truncated."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _as_event(ev) -> RouteEvent:
     if isinstance(ev, RouteEvent):
         return ev
     over, under, sign = ev
-    return RouteEvent((int(over[0]), int(over[1])), (int(under[0]), int(under[1])), int(sign))
+    return RouteEvent(
+        (_int(over[0], "route band"), _int(over[1], "route slot")),
+        (_int(under[0], "route band"), _int(under[1], "route slot")),
+        _int(sign, "route sign"),
+    )
 
 
 def core_route(events: Iterable) -> tuple[RouteEvent, ...]:
@@ -159,7 +165,13 @@ def core_route(events: Iterable) -> tuple[RouteEvent, ...]:
             out.append(ev)
         else:
             o, u, s = ev
-            out.append(RouteEvent((0, int(o)), (0, int(u)), int(s)))
+            out.append(
+                RouteEvent(
+                    (0, _int(o, "route slot")),
+                    (0, _int(u, "route slot")),
+                    _int(s, "route sign"),
+                )
+            )
     return tuple(out)
 
 
@@ -356,7 +368,7 @@ class _Strand:
     """One parallel running the length of a band, at a fixed transverse
     position u and height z; direction +1 means A toward B."""
 
-    __slots__ = ("band", "u", "z", "direction", "parts")
+    __slots__ = ("band", "u", "z", "direction", "parts", "comp")
 
     def __init__(self, band: int, u, z: int, direction: int):
         self.band = band
@@ -364,6 +376,7 @@ class _Strand:
         self.z = z
         self.direction = direction
         self.parts: list = []
+        self.comp = -1
 
     def ordered_parts(self):
         parts = sorted(self.parts, key=lambda p: p[0])
@@ -389,18 +402,31 @@ class _Chord:
 
 @dataclass(frozen=True)
 class CompiledCurves:
-    """Crossing-list diagram of the requested curves; components maps each
-    request key to its component indices (the double pushoff of an
-    even-twisted band closes up into two components)."""
+    """The requested curves as a crossing-list diagram of the route-event
+    and disk-chord crossings, plus the twist-box crossings as counts.
+
+    components maps each request key to its component indices (the double
+    pushoff of an even-twisted band closes up into two components);
+    twist_boxes maps (over component, under component) to the signed
+    count of twist-box crossings between them, which the diagram leaves
+    out.
+    """
 
     diagram: CrossingList
     components: dict
+    twist_boxes: dict
 
     def linking(self, key_a, key_b) -> int:
         total = 0
         for ca in self.components[key_a]:
             for cb in self.components[key_b]:
-                total += linking_number(self.diagram, ca, cb)
+                a_over_b, b_over_a = over_counts(self.diagram, ca, cb)
+                total += classical_linking(
+                    ca,
+                    cb,
+                    a_over_b + self.twist_boxes.get((ca, cb), 0),
+                    b_over_a + self.twist_boxes.get((cb, ca), 0),
+                )
         return total
 
 
@@ -435,8 +461,30 @@ def _normal_form_even_bands(F: BandSurface) -> list[int]:
     return evens
 
 
+def twist_box_counts(directions: Sequence[int], h: int) -> dict[tuple[int, int], int]:
+    """Signed crossing counts of an h-half-twist box, keyed (over, under)
+    by strand position; directions lists the strands bottom to top.
+
+    Strands x below y cross |h| times, each with sign sign(h)*dx*dy; x is
+    over at ceil(|h|/2) of them for h > 0 and at floor(|h|/2) for h < 0.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    if h == 0:
+        return counts
+    s_box = 1 if h > 0 else -1
+    lower_over = (abs(h) + (h > 0)) // 2
+    upper_over = abs(h) - lower_over
+    for x, dx in enumerate(directions):
+        for y in range(x + 1, len(directions)):
+            sign = s_box * dx * directions[y]
+            counts[x, y] = sign * lower_over
+            counts[y, x] = sign * upper_over
+    return counts
+
+
 def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
-    """Build a crossing-list diagram of the requested curves on F.
+    """Compile the requested curves on F into a crossing-list diagram
+    and the twist-box crossing counts.
 
     Request keys: "K" (the boundary), "lambda" (boundary pushed off along
     the surface), ("core", i), ("pushoff", i, +1|-1) for even-twisted
@@ -547,27 +595,6 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
         crossings.append([sign, None, None])
         return len(crossings) - 1
 
-    # twist boxes: each half twist crosses every strand pair on the band once
-    for i in sorted(geo):
-        group = geo[i]
-        h = F.bands[i].half_twists
-        m = len(group)
-        if m < 2 or h == 0:
-            continue
-        s_box = 1 if h > 0 else -1
-        counter = 0
-        order = list(group)
-        for _ in range(abs(h)):
-            for span in range(m - 1, 0, -1):
-                for j in range(span):
-                    x, y = order[j], order[j + 1]
-                    over, under = (x, y) if s_box > 0 else (y, x)
-                    cidx = new_crossing(s_box * x.direction * y.direction)
-                    over.parts.append(((0, counter), cidx, "over"))
-                    under.parts.append(((0, counter), cidx, "under"))
-                    counter += 1
-                    order[j], order[j + 1] = y, x
-
     # route events: every strand of the over band crosses every strand of
     # the under band; a self event crosses the band's strands with themselves
     for ev_idx, ev in enumerate(F.route):
@@ -578,8 +605,8 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
         for ix, x in enumerate(gx):
             for iy, y in enumerate(gy):
                 cidx = new_crossing(ev.sign * x.direction * y.direction)
-                x.parts.append(((1, sx, ev_idx, iy), cidx, "over"))
-                y.parts.append(((1, sy, ev_idx, ix), cidx, "under"))
+                x.parts.append(((sx, ev_idx, iy), cidx, "over"))
+                y.parts.append(((sy, ev_idx, ix), cidx, "under"))
 
     # disk chords: straight segments between convex sites cross iff their
     # site pairs interleave; higher chord over, ties to the lower band index
@@ -623,6 +650,8 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
             plist: list = []
             for entry in loop:
                 piece = entry[1]
+                if entry[0] == "s":
+                    piece.comp = len(comp_lists)
                 plist.extend((cidx, role) for _k, cidx, role in piece.ordered_parts())
             idxs.append(len(comp_lists))
             comp_lists.append(plist)
@@ -643,7 +672,16 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
         if over_at is None or under_at is None:
             raise AssertionError("crossing left without both passages")
         built.append(Crossing(cid, sign, over_at, under_at))
-    return CompiledCurves(CrossingList(tuple(components), tuple(built)), comp_map)
+
+    boxes: dict[tuple[int, int], int] = {}
+    for i, group in geo.items():
+        counts = twist_box_counts([s.direction for s in group], F.bands[i].half_twists)
+        for (a, b), count in counts.items():
+            key = (group[a].comp, group[b].comp)
+            boxes[key] = boxes.get(key, 0) + count
+    return CompiledCurves(
+        CrossingList(tuple(components), tuple(built)), comp_map, boxes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -692,20 +730,15 @@ def seifert_matrix(F: BandSurface) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class GammaCurve:
-    """The curve through the 2-sided cores of a normal-form surface, its
-    in-surface parallel, and their linking number."""
+    """The linking number of the curve through the 2-sided cores of a
+    normal-form surface with its in-surface parallel."""
 
-    diagram: CrossingList
-    gamma: int
-    gamma_plus: int
     self_linking: int
 
 
 def gamma_curve(F: BandSurface) -> GammaCurve:
     c = compile_curves(F, ("gamma", "gamma_plus"))
-    g = c.components["gamma"][0]
-    gp = c.components["gamma_plus"][0]
-    return GammaCurve(c.diagram, g, gp, linking_number(c.diagram, g, gp))
+    return GammaCurve(c.linking("gamma", "gamma_plus"))
 
 
 # ---------------------------------------------------------------------------

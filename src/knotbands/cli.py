@@ -2,13 +2,16 @@
 
 Exit codes: 0 when every requested check is consistent, 1 for any input
 or usage problem, 2 when a checker reports an obstruction (or the verify
-battery finds failures).
+battery finds failures), 141 when the reader of stdout closed it early
+(as in ``knotbands ... | head``; 141 = 128 + SIGPIPE is what a shell
+reports for a command killed by a broken pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import fp_abelian_invariants
@@ -355,6 +358,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+EXIT_BROKEN_PIPE = 141
+
+
+def _drop_stdout() -> None:
+    """Point stdout at the null device, so the interpreter's final flush of
+    output nobody reads raises no second BrokenPipeError."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a file descriptor; nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def run(argv) -> int:
     parser = _build_parser()
     try:
@@ -366,7 +384,13 @@ def run(argv) -> int:
         print("knotbands: error: a command is required", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here, so that a closed pipe raises below and not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _drop_stdout()
+        return EXIT_BROKEN_PIPE
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 1

@@ -128,24 +128,36 @@ def writhe(d: CrossingList, c: int) -> int:
     )
 
 
-def linking_number(d: CrossingList, a: int, b: int) -> int:
-    """Signed count of crossings where a passes over b.
-
-    Guard: the same count with roles reversed must agree; classical links
-    always satisfy this, so disagreement means the data is corrupt.
-    """
+def over_counts(d: CrossingList, a: int, b: int) -> tuple[int, int]:
+    """Signed counts of the crossings where a passes over b, and where b
+    passes over a."""
     _check_component(d, a)
     _check_component(d, b)
     if a == b:
         raise ValueError("linking number needs two distinct components")
     a_over_b = sum(x.sign for x in d.crossings if x.over[0] == a and x.under[0] == b)
     b_over_a = sum(x.sign for x in d.crossings if x.over[0] == b and x.under[0] == a)
+    return a_over_b, b_over_a
+
+
+def classical_linking(a: int, b: int, a_over_b: int, b_over_a: int) -> int:
+    """The linking number of components a and b from their two over counts.
+
+    Guard: the counts must agree; classical links always satisfy this, so
+    disagreement means the data is corrupt.
+    """
     if a_over_b != b_over_a:
         raise NonclassicalCrossingError(
             f"nonclassical crossing data: component {a} over {b} gives {a_over_b}, "
             f"component {b} over {a} gives {b_over_a}"
         )
     return a_over_b
+
+
+def linking_number(d: CrossingList, a: int, b: int) -> int:
+    """Signed count of crossings where a passes over b, checked against
+    the count with roles reversed (see ``classical_linking``)."""
+    return classical_linking(a, b, *over_counts(d, a, b))
 
 
 def mirror(d: CrossingList) -> CrossingList:

@@ -25,10 +25,14 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def _as_matrix(rows) -> Matrix:
-    m = tuple(tuple(int(x) for x in row) for row in rows)
+    m = tuple(tuple(row) for row in rows)
     for row in m:
         if len(row) != len(m):
             raise ValueError("matrix must be square")
+        for x in row:
+            # floats and bools are rejected, not truncated
+            if type(x) is not int:
+                raise ValueError(f"matrix entries must be integers, got {x!r}")
     return m
 
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately computed by a different route than the
 library takes: determinants by cofactor expansion, Arf from a symplectic
-basis of the mod-2 intersection form, and Seifert matrices read brick by
+basis of the mod-2 intersection form, twist-box crossings by braiding the
+strands one half twist at a time, and Seifert matrices read brick by
 brick off braid words.
 """
 
@@ -75,6 +76,29 @@ def arf_symplectic(v) -> int:
             rest.append(w)
         vecs = rest
     return arf
+
+
+def twist_box_over_counts(directions, h) -> dict[tuple[int, int], int]:
+    """Signed crossing counts of an h-half-twist box, keyed (over, under)
+    by strand position, with the strands listed bottom to top by their
+    directions.
+
+    Each half twist reverses the strand order by explicit adjacent swaps;
+    every swap is one crossing, signed sign(h) times the two directions,
+    and in a positive box the strand lower at the swap goes over.
+    """
+    s_box = 1 if h > 0 else -1
+    order = list(range(len(directions)))
+    counts: dict[tuple[int, int], int] = {}
+    for _ in range(abs(h)):
+        for span in range(len(order) - 1, 0, -1):
+            for j in range(span):
+                x, y = order[j], order[j + 1]
+                over, under = (x, y) if s_box > 0 else (y, x)
+                sign = s_box * directions[x] * directions[y]
+                counts[over, under] = counts.get((over, under), 0) + sign
+                order[j], order[j + 1] = y, x
+    return counts
 
 
 def braid_closure_components(word) -> int:

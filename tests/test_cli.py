@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -272,6 +273,45 @@ class TestErrorPaths:
         assert code == 1 and "degenerate presentation" in err
 
 
+SURFACE_1_9 = '{"bands":[{"half_twists":1.9}],"attach":[[0,"A"],[0,"B"]],"route":[]}'
+SURFACE_TRUE = '{"bands":[{"half_twists":true}],"attach":[[0,"A"],[0,"B"]],"route":[]}'
+
+
+class TestRejectsNonIntegers:
+    """Floats and booleans are input errors, never truncated to integers."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("invariants", "--seifert", "[[-1.7,1],[0,-1]]"),
+            ("invariants", "--seifert", "[[true,1],[0,-1]]"),
+            ("band", "--surface", SURFACE_1_9),
+            ("band", "--surface", SURFACE_TRUE),
+            ("cable", "--knot", '{"seifert":[[-1,1],[0,-1]],"core_route":[[0,3,true]]}', "-p", "3"),
+            ("cable", "--knot", '{"seifert":[[-1,1.0],[0,-1]]}', "-p", "3"),
+            ("klein", "--coreK", "[[0,1.5,1]]", "--presetJ", "unknot", "-p", "3"),
+            ("obstruct-cable", "--K", '{"seifert":[[-1,1],[0,false]]}', "--presetJ", "unknot", "-p", "3"),
+            ("homology", "--presentation", '{"generators":2,"relations":[[-2.0,1],[0,1]]}'),
+            ("homology", "--presentation", '{"generators":true,"relations":[[2]]}'),
+        ],
+        ids=[
+            "float-matrix", "bool-matrix", "float-twists", "bool-twists",
+            "bool-route-sign", "float-knot-matrix", "float-core-slot",
+            "bool-obstruct-matrix", "float-relation", "bool-generators",
+        ],
+    )
+    def test_exit_1(self, capsys, argv):
+        code, out, err = call(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "must be an integer" in err or "must be integers" in err
+
+    def test_integer_inputs_still_work(self, capsys):
+        surface = SURFACE_1_9.replace("1.9", "1")
+        code, data = call_json(capsys, "band", "--surface", surface)
+        assert code == 0 and data["framing"] == 2
+
+
 class TestProcessSmoke:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -300,3 +340,22 @@ class TestProcessSmoke:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["group"] == "Z/2"
+
+    def test_closed_stdout_is_not_an_input_error(self):
+        # the reading end is closed before the child starts, so every
+        # write to stdout fails with a broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "knotbands.cli", "band", "--preset", "t25"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert "error:" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+        assert proc.stderr == ""
