@@ -187,12 +187,13 @@ def _cmd_cable(args) -> int:
     v, route = _knot_record(args, "knot", "preset")
     p = args.p
     F = mobius_band(route, p)
+    G = gl_form(F)
     delta_cable = alexander_cable2(alexander(v), p)
     payload = {
         "p": p,
         "surface": F.to_json(),
         "framing": framing(F),
-        "gl_form": [list(r) for r in gl_form(F)],
+        "gl_form": [list(r) for r in G],
         "alexander": delta_cable.to_string(),
         "determinant": abs(delta_cable.evaluate_int(-1)),
         "arf": arf(delta_cable),
@@ -201,7 +202,7 @@ def _cmd_cable(args) -> int:
         f"(2,{p}) cable on a Möbius band with {p} half-twists",
         f"framing: {payload['framing']}",
         "gl_form:",
-        _matrix_text(gl_form(F)),
+        _matrix_text(G),
         f"alexander:   {payload['alexander']}",
         f"determinant: {payload['determinant']}",
         f"arf:         {payload['arf']}",
@@ -223,20 +224,21 @@ def _cmd_klein(args) -> int:
         route_j = core_route([tuple(ev) for ev in _load_json_arg(args.coreJ)])
     F = klein_bottle_for_cables(route_k, route_j, args.p)
     sh = shape(F)
+    G = gl_form(F)
     report = slice_obstruction_report(F)
     payload = {
         "p": args.p,
         "surface": F.to_json(),
         "shape": _shape_json(sh),
         "framing": framing(F),
-        "gl_form": [list(r) for r in gl_form(F)],
+        "gl_form": [list(r) for r in G],
         "slice_screen": report.to_json(),
     }
     lines = [
         f"zero-framed punctured Klein bottle for K_(2,{args.p}) # J_(2,{-args.p})",
         f"framing: {payload['framing']}",
         "gl_form:",
-        _matrix_text(gl_form(F)),
+        _matrix_text(G),
         "slice screen:",
         report.to_text(),
     ]

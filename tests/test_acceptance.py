@@ -1,5 +1,10 @@
 """The ten go/no-go checks, one test each, timed and summarized.
 
+Each criterion runs one property of the ``knotbands verify`` battery
+(``knotbands.obstruct.PROPERTIES``) with its own seed and trial count, so
+every law is written once, in the library. Only the comparisons against
+``tests/oracles.py``, which the library must not import, are written here.
+
 Every test appends a PASS/FAIL line to the terminal summary (see
 conftest.py) before asserting, so the scoreboard prints even on red.
 """
@@ -9,57 +14,46 @@ import time
 
 import oracles
 from conftest import record_acceptance
-from knotbands.algebra import (
-    LaurentPoly,
-    det_laurent,
-    fp_abelian_invariants,
-    signature_exact,
-    smith_normal_form,
-)
-from knotbands.bandform import (
-    boundary_connect_sum,
-    framing,
-    gamma_curve,
-    gl_form,
-    klein_bottle_for_cables,
-    mobius_band,
-    shape,
-)
-from knotbands.invariants import (
-    DEFAULT_SAMPLES,
-    alexander,
-    alexander_cable2,
-    alexander_satellite,
-    arf,
-    determinant_knot,
-    levine_tristram,
-    sigma_function,
-    sigma_satellite,
-    signature,
-)
-from knotbands.obstruct import (
-    cable_concordance_check,
-    random_band_surface,
-    random_core,
-    random_normal_form,
-    random_unimodular,
-)
+from knotbands.invariants import alexander, arf, determinant_knot, signature
+from knotbands.obstruct import run_property, verify_paper
 from knotbands.presets import get_preset
 
-TREFOIL_CORE = ((0, 3, 1), (4, 1, 1), (2, 5, 1))
-PRESETS = ("unknot", "trefoil", "figure-eight", "t25")
+CRITERION_PROPERTY = {
+    1: "framing-fixtures",
+    2: "genus-framing-lemma",
+    3: "gamma-law",
+    4: "signature-bridge",
+    5: "invariant-table",
+    6: "klein-slice-obstruction",
+    7: "satellite-formulas",
+    8: "homology-z2",
+    9: "cable-screen",
+    10: "algebra-oracles",
+}
 
 
 class Criterion:
-    """Collects failures, then emits one scoreboard line."""
+    """Runs the criterion's property, collects failures, then emits one
+    scoreboard line. A criterion that makes fewer than ``min_checks``
+    checks fails, so a property cannot silently drop cases."""
 
-    def __init__(self, number, description, budget):
+    def __init__(self, number, description, budget, min_checks):
         self.number = number
         self.description = description
         self.budget = budget
+        self.min_checks = min_checks
         self.failures = []
         self.cases = 0
         self.start = time.perf_counter()
+
+    def run(self, seed=0, trials=1, **options):
+        name = CRITERION_PROPERTY[self.number]
+        result = run_property(name, random.Random(seed), trials, **options)
+        self.cases += result.cases
+        if result.failures:
+            self.failures.append(
+                f"{name}: {result.failures} failures, first: {result.detail}"
+            )
 
     def check(self, condition, detail=""):
         self.cases += 1
@@ -70,6 +64,10 @@ class Criterion:
         elapsed = time.perf_counter() - self.start
         if elapsed >= self.budget:
             self.failures.append(f"took {elapsed:.2f}s, budget {self.budget}s")
+        if self.cases < self.min_checks:
+            self.failures.append(
+                f"{self.cases} checks, at least {self.min_checks} expected"
+            )
         ok = not self.failures
         record_acceptance(
             f"ACCEPTANCE {self.number}: {'PASS' if ok else 'FAIL'} "
@@ -78,179 +76,84 @@ class Criterion:
         assert ok, f"criterion {self.number}: " + "; ".join(self.failures[:5])
 
 
+def test_criteria_run_battery_properties():
+    battery = [p.name for p in verify_paper(seed=0, trials=1).properties]
+    assert sorted(CRITERION_PROPERTY) == list(range(1, 11))
+    assert set(CRITERION_PROPERTY.values()) <= set(battery)
+
+
 def test_acceptance_1_framing_fixtures():
-    c = Criterion(1, "boundary framing fixtures on twisted bands", 1.0)
-    plus = mobius_band((), 1)
-    minus = mobius_band((), -1)
-    c.check(framing(plus) == 2, "Mobius(+1) framing")
-    c.check(framing(minus) == -2, "Mobius(-1) framing")
-    c.check(framing(boundary_connect_sum(plus, minus)) == 0, "sum +2-2")
-    for p in (-5, -3, -1, 1, 3, 5):
-        c.check(framing(mobius_band((), p)) == 2 * p, f"Mobius({p})")
-        c.check(framing(mobius_band(TREFOIL_CORE, p)) == 2 * p, f"knotted Mobius({p})")
+    c = Criterion(1, "boundary framing fixtures on twisted bands", 1.0, 15)
+    c.run(seed=1, trials=25)
     c.finish()
 
 
 def test_acceptance_2_genus_framing_lemma():
-    c = Criterion(2, "framing mod 4 tracks genus parity on random surfaces", 10.0)
-    rng = random.Random(20252)
-    for _ in range(500):
-        surface = random_band_surface(rng, max_bands=6, max_twist=5, max_events=10)
-        f = framing(surface)
-        g = shape(surface).genus
-        c.check(f % 4 == (2 * g) % 4, f"nonorientable f={f} g={g}")
-    for _ in range(200):
-        surface = random_band_surface(
-            rng, max_bands=6, max_twist=5, max_events=10, orientable=True
-        )
-        c.check(framing(surface) == 0, "orientable framing")
+    c = Criterion(2, "framing mod 4 tracks genus parity on random surfaces", 10.0, 700)
+    c.run(seed=20252, trials=500)
     c.finish()
 
 
 def test_acceptance_3_gamma_law():
-    c = Criterion(3, "framing equals four times the gamma self-linking", 10.0)
-    rng = random.Random(333)
-    for i in range(200):
-        surface = random_normal_form(rng, force_zero_framing=(i % 3 == 0))
-        f = framing(surface)
-        sl = gamma_curve(surface).self_linking
-        c.check(f == 4 * sl, f"f={f} sl={sl}")
-        c.check((f == 0) == (sl == 0), "zero iff zero")
+    c = Criterion(3, "framing equals four times the gamma self-linking", 10.0, 400)
+    c.run(seed=333, trials=200)
     c.finish()
 
 
 def test_acceptance_4_signature_bridge():
-    c = Criterion(4, "signature equals sign(GL form) minus half framing", 1.0)
-    for name in ("trefoil", "figure-eight", "t25"):
-        pk = get_preset(name)
-        lhs = signature(pk.seifert)
-        surface = pk.nonorientable_surface
-        rhs = signature_exact([list(r) for r in gl_form(surface)]) - framing(surface) // 2
-        c.check(lhs == rhs, f"{name}: {lhs} vs {rhs}")
-        sym = signature_exact([list(r) for r in gl_form(pk.orientable_surface)])
-        c.check(lhs == sym, f"{name} orientable GL: {lhs} vs {sym}")
+    c = Criterion(4, "signature equals sign(GL form) minus half framing", 1.0, 6)
+    c.run()
     c.finish()
 
 
 def test_acceptance_5_invariant_table():
-    c = Criterion(5, "classical invariant table against the braid oracle", 1.0)
+    c = Criterion(5, "classical invariant table against the braid oracle", 1.0, 28)
+    c.run()
     table = {
         "unknot": ((1,), "1", 0, 1, 0),
         "trefoil": (oracles.RIGHT_TREFOIL_WORD, "t^-1 - 1 + t", -2, 3, 1),
         "figure-eight": (oracles.FIGURE_EIGHT_WORD, "-t^-1 + 3 - t", 0, 5, 1),
     }
     for name, (word, delta, sig, det, arf_bit) in table.items():
-        v_lib = get_preset(name).seifert
+        pk = get_preset(name)
+        row = (pk.delta, pk.sigma, pk.det, pk.arf)
+        c.check(row == (delta, sig, det, arf_bit), f"{name} stored row {row}")
         v_ora = oracles.seifert_from_braid(word)
-        for tag, v in (("library", v_lib), ("oracle", v_ora)):
-            c.check(str(alexander(v)) == delta, f"{name} {tag} alexander")
-            c.check(signature(v) == sig, f"{name} {tag} signature")
-            c.check(determinant_knot(seifert=v) == det, f"{name} {tag} det")
-            c.check(arf(v) == arf_bit, f"{name} {tag} arf")
+        c.check(str(alexander(v_ora)) == delta, f"{name} oracle alexander")
+        c.check(signature(v_ora) == sig, f"{name} oracle signature")
+        c.check(determinant_knot(seifert=v_ora) == det, f"{name} oracle det")
+        c.check(arf(v_ora) == arf_bit, f"{name} oracle arf")
+        for tag, v in (("library", pk.seifert), ("oracle", v_ora)):
             if v:
                 c.check(oracles.arf_symplectic(v) == arf_bit, f"{name} {tag} arf2")
     c.finish()
 
 
 def test_acceptance_6_klein_bottle_obstructions():
-    c = Criterion(6, "zero-framed Klein bottles satisfy the slice screens", 30.0)
-    rng = random.Random(66)
-    built = 0
-    while built < 102:
-        core_k, delta_k = random_core(rng)
-        core_j, _ = random_core(rng)
-        for p in (-5, -3, -1, 1, 3, 5):
-            surface = klein_bottle_for_cables(core_k, core_j, p)
-            c.check(framing(surface) == 0, f"framing p={p}")
-            d = determinant_knot(gl=gl_form(surface))
-            c.check(d % 8 in (1, 7), f"det {d} mod 8")
-            cable_det = abs(alexander_cable2(delta_k, p).evaluate_int(-1))
-            c.check(cable_det == abs(p), f"cable det {cable_det} vs {abs(p)}")
-            built += 1
+    c = Criterion(6, "zero-framed Klein bottles satisfy the slice screens", 30.0, 306)
+    c.run(seed=66, trials=102)
     c.finish()
 
 
 def test_acceptance_7_satellite_formulas():
-    c = Criterion(7, "satellite Alexander and signature formulas on preset pairs", 5.0)
-    for name_r in PRESETS:
-        for name_j in PRESETS:
-            v_r = get_preset(name_r).seifert
-            v_j = get_preset(name_j).seifert
-            d_r, d_j = alexander(v_r), alexander(v_j)
-            sat = alexander_satellite(d_r, d_j)
-            c.check(sat == d_r * d_j.substitute(2), f"{name_r}/{name_j} alexander")
-            c.check(arf(sat) == arf(d_r), f"{name_r}/{name_j} arf preserved")
-            combined = sigma_satellite(sigma_function(v_r), sigma_function(v_j))
-            for omega in DEFAULT_SAMPLES:
-                got = combined(omega)
-                squared = omega.squared()
-                if squared is None:
-                    c.check(got.singular, "singular at sqrt of 1")
-                    continue
-                want = levine_tristram(v_r, omega).value + levine_tristram(v_j, squared).value
-                c.check(got.value == want, f"{name_r}/{name_j} at {omega.label()}")
+    c = Criterion(7, "satellite Alexander and signature formulas on preset pairs", 5.0, 128)
+    c.run()
     c.finish()
 
 
 def test_acceptance_8_homology_z2():
-    c = Criterion(8, "presented homology group reduces to Z/2", 1.0)
-    inv = fp_abelian_invariants(2, [[-2, 1], [0, 1]])
-    c.check(str(inv) == "Z/2", f"got {inv}")
-    c.check(inv.free_rank == 0 and inv.torsion == (2,), "structure")
+    c = Criterion(8, "presented homology group reduces to Z/2", 1.0, 2)
+    c.run()
     c.finish()
 
 
 def test_acceptance_9_cable_screen():
-    c = Criterion(9, "cable concordance screen separates trefoil from unknot", 1.0)
-    trefoil = get_preset("trefoil").seifert
-    unknot = get_preset("unknot").seifert
-    report = cable_concordance_check(trefoil, unknot, 3)
-    c.check(report.verdict == "obstructed", "trefoil vs unknot verdict")
-    by_name = {t.name: t for t in report.tests}
-    minus_one = by_name["sigma-match omega=-1"]
-    c.check(minus_one.status == "fail", "omega=-1 leg")
-    c.check("sigma_K = -2, sigma_J = 0" in minus_one.details, minus_one.details)
-    for name in PRESETS:
-        v = get_preset(name).seifert
-        for p in (-3, 1, 3, 5):
-            rep = cable_concordance_check(v, v, p)
-            c.check(rep.verdict == "consistent", f"{name} self p={p}")
+    c = Criterion(9, "cable concordance screen separates trefoil from unknot", 1.0, 19)
+    c.run()
     c.finish()
 
 
-def _matmul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
-def _random_laurent(rng):
-    return LaurentPoly(
-        {e: rng.randint(-3, 3) for e in range(rng.randint(-2, 0), rng.randint(0, 3))}
-    )
-
-
 def test_acceptance_10_algebra_oracles():
-    c = Criterion(10, "exact linear algebra against independent oracles", 10.0)
-    rng = random.Random(1010)
-    for _ in range(200):
-        n = rng.randint(0, 4)
-        rows = [[_random_laurent(rng) for _ in range(n)] for _ in range(n)]
-        c.check(det_laurent(rows) == oracles.det_cofactor(rows), "laurent det")
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        sym = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
-        p = random_unimodular(rng, n)
-        conj = _matmul(_matmul(p, sym), [list(r) for r in zip(*p)])
-        c.check(signature_exact(conj) == signature_exact(sym), "signature congruence")
-    for _ in range(200):
-        rows_n = rng.randint(1, 4)
-        cols_n = rng.randint(1, 4)
-        a = [[rng.randint(-6, 6) for _ in range(cols_n)] for _ in range(rows_n)]
-        u = random_unimodular(rng, rows_n)
-        v = random_unimodular(rng, cols_n)
-        c.check(
-            smith_normal_form(_matmul(_matmul(u, a), v)) == smith_normal_form(a),
-            "smith invariance",
-        )
+    c = Criterion(10, "exact linear algebra against independent oracles", 10.0, 600)
+    c.run(seed=1010, trials=200, det_oracle=oracles.det_cofactor)
     c.finish()

@@ -1,8 +1,9 @@
 """Byte-for-byte CLI output on preset knots.
 
 ``tests/data/cli_golden.json`` maps each command line below to its exit
-code and JSON stdout. A change that is meant to alter CLI output rewrites
-the file with
+code and stdout: JSON for every command, and ``--format text`` as well
+for a few ``klein`` and ``cable`` runs. A change that is meant to alter
+CLI output rewrites the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 
@@ -27,6 +28,7 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "cli_golden.json"
 ROUTED = ("unknot", "trefoil", "t25")
 ALL_PRESETS = ("unknot", "trefoil", "figure-eight", "t25")
 PS = (3, -7, 401)
+TEXT_KNOTS = ("trefoil", "t25")
 
 
 def _commands() -> list[tuple[str, ...]]:
@@ -39,6 +41,10 @@ def _commands() -> list[tuple[str, ...]]:
         cmds.append(("obstruct-cable", "--presetK", k, "--presetJ", j, "-p", str(p)))
     for k, kind in itertools.product(ALL_PRESETS, ("orientable", "nonorientable")):
         cmds.append(("band", "--preset", k, "--kind", kind))
+    text = ("--format", "text")
+    for k, j, p in itertools.product(TEXT_KNOTS, TEXT_KNOTS, (3, -7)):
+        cmds.append(text + ("klein", "--presetK", k, "--presetJ", j, "-p", str(p)))
+    cmds.append(text + ("cable", "--preset", "trefoil", "-p", "401"))
     return cmds
 
 

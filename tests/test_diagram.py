@@ -4,10 +4,7 @@ from knotbands.diagram import (
     Crossing,
     CrossingList,
     NonclassicalCrossingError,
-    connected_sum,
     linking_number,
-    mirror,
-    reverse,
     validate,
     writhe,
 )
@@ -103,64 +100,3 @@ class TestCounts:
         )
         with pytest.raises(NonclassicalCrossingError, match="nonclassical"):
             linking_number(d, 0, 1)
-
-
-class TestSymmetries:
-    def test_mirror_negates_counts(self):
-        assert writhe(mirror(trefoil_diagram()), 0) == -3
-        assert linking_number(mirror(hopf()), 0, 1) == -1
-        assert validate(mirror(trefoil_diagram())) == []
-
-    def test_mirror_involution(self):
-        d = trefoil_diagram()
-        assert mirror(mirror(d)) == d
-
-    def test_reverse_one_component_negates_linking(self):
-        d = reverse(hopf(), 0)
-        assert validate(d) == []
-        assert linking_number(d, 0, 1) == -1
-        assert linking_number(reverse(d, 1), 0, 1) == 1
-
-    def test_reverse_preserves_writhe(self):
-        d = reverse(trefoil_diagram(), 0)
-        assert validate(d) == []
-        assert writhe(d, 0) == 3
-
-
-class TestConnectedSum:
-    def test_trefoil_sum(self):
-        d = connected_sum(trefoil_diagram(), 0, trefoil_diagram(), 0)
-        assert validate(d) == []
-        assert len(d.components) == 1
-        assert len(d.components[0]) == 12
-        assert writhe(d, 0) == 6
-
-    def test_square_knot_writhe_cancels(self):
-        d = connected_sum(trefoil_diagram(), 0, mirror(trefoil_diagram()), 0)
-        assert validate(d) == []
-        assert writhe(d, 0) == 0
-
-    def test_extra_components_carry_over(self):
-        d = connected_sum(hopf(), 0, trefoil_diagram(), 0, site1=1)
-        assert validate(d) == []
-        assert len(d.components) == 2
-        assert writhe(d, 0) == 3
-        assert linking_number(d, 0, 1) == 1
-
-    def test_invalid_site(self):
-        with pytest.raises(ValueError, match="invalid splice site"):
-            connected_sum(hopf(), 0, hopf(), 0, site1=7)
-
-
-class TestJson:
-    def test_round_trip(self):
-        for d in (hopf(), trefoil_diagram(), mirror(hopf(-1))):
-            assert CrossingList.from_json(d.to_json()) == d
-
-    def test_malformed(self):
-        with pytest.raises(ValueError, match="malformed crossing list JSON"):
-            CrossingList.from_json({"components": [[0]]})
-        with pytest.raises(ValueError, match="malformed crossing list JSON"):
-            CrossingList.from_json(
-                {"components": [[0]], "crossings": [{"id": 0, "sign": 1}]}
-            )
