@@ -8,7 +8,6 @@ integers and rationals.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -190,40 +189,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_string()!r})"
-
-    _TERM_RE = re.compile(r"^(\d+)?\s*\*?\s*(t(\^(-?\d+))?)?$")
-
-    @classmethod
-    def from_string(cls, text: str) -> "LaurentPoly":
-        """Parse the canonical text form, e.g. ``t^-1 - 1 + t`` or ``3t^2``."""
-        s = text.strip()
-        if s == "0":
-            return cls.zero()
-        # normalize: make every term start with an explicit sign token,
-        # leaving exponent minuses (as in t^-1) alone
-        s = re.sub(r"(?<!\^)-", "+-", s)
-        chunks = [c.strip() for c in s.split("+")]
-        chunks = [c for c in chunks if c]
-        if not chunks:
-            raise ValueError(f"cannot parse polynomial: {text!r}")
-        coeffs: dict[int, int] = {}
-        for chunk in chunks:
-            sign = 1
-            while chunk.startswith("-"):
-                sign = -sign
-                chunk = chunk[1:].strip()
-            m = cls._TERM_RE.match(chunk)
-            if not m or (m.group(1) is None and m.group(2) is None):
-                raise ValueError(f"cannot parse polynomial term: {chunk!r}")
-            mag = int(m.group(1)) if m.group(1) is not None else 1
-            if m.group(2) is None:
-                exp = 0
-            elif m.group(4) is None:
-                exp = 1
-            else:
-                exp = int(m.group(4))
-            coeffs[exp] = coeffs.get(exp, 0) + sign * mag
-        return cls(coeffs)
 
 
 def _coerce(value) -> "LaurentPoly":

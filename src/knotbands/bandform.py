@@ -89,6 +89,10 @@ class BandSurface:
     def n_bands(self) -> int:
         return len(self.bands)
 
+    @property
+    def orientable(self) -> bool:
+        return all(b.half_twists % 2 == 0 for b in self.bands)
+
     def end_positions(self) -> tuple[dict[int, int], dict[int, int]]:
         """Maps band -> attach position of its A end resp. B end."""
         pos_a: dict[int, int] = {}
@@ -344,22 +348,6 @@ def boundary_walk(F: BandSurface):
     return tuple(walks), len(walks)
 
 
-def shape(F: BandSurface) -> SurfaceShape:
-    """Topological type of the surface; needs a single boundary component."""
-    problems = validate_surface(F)
-    if problems:
-        raise ValueError("invalid surface: " + "; ".join(problems))
-    _, count = boundary_walk(F)
-    if count != 1:
-        raise MultipleBoundaryError(
-            f"multiple boundary components: boundary walk found {count}"
-        )
-    n = F.n_bands
-    orientable = all(b.half_twists % 2 == 0 for b in F.bands)
-    genus = n // 2 if orientable else n
-    return SurfaceShape(orientable, genus, 1 - n, 1)
-
-
 # ---------------------------------------------------------------------------
 # the curve compiler
 
@@ -409,12 +397,13 @@ class CompiledCurves:
     pushoff of an even-twisted band closes up into two components);
     twist_boxes maps (over component, under component) to the signed
     count of twist-box crossings between them, which the diagram leaves
-    out.
+    out; shape is the topological type found while validating the surface.
     """
 
     diagram: CrossingList
     components: dict
     twist_boxes: dict
+    shape: SurfaceShape
 
     def linking(self, key_a, key_b) -> int:
         total = 0
@@ -489,7 +478,9 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
     Request keys: "K" (the boundary), "lambda" (boundary pushed off along
     the surface), ("core", i), ("pushoff", i, +1|-1) for even-twisted
     bands, ("tau", i) (both pushoffs of core i at once), "gamma" and
-    "gamma_plus" (normal-form surfaces only).
+    "gamma_plus" (normal-form surfaces only). This is the one place that
+    validates a surface and walks its boundary, so it raises for an invalid
+    or multi-boundary surface whatever the request.
     """
     problems = validate_surface(F)
     if problems:
@@ -502,6 +493,8 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
     pos_a, pos_b = F.end_positions()
     n = F.n_bands
     m_sites = 2 * n
+    genus = n // 2 if F.orientable else n
+    surface_shape = SurfaceShape(F.orientable, genus, 1 - n, 1)
 
     keys = list(curves)
     if len(set(keys)) != len(keys):
@@ -680,12 +673,17 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
             key = (group[a].comp, group[b].comp)
             boxes[key] = boxes.get(key, 0) + count
     return CompiledCurves(
-        CrossingList(tuple(components), tuple(built)), comp_map, boxes
+        CrossingList(tuple(components), tuple(built)), comp_map, boxes, surface_shape
     )
 
 
 # ---------------------------------------------------------------------------
 # framings and bilinear forms
+
+
+def shape(F: BandSurface) -> SurfaceShape:
+    """Topological type of the surface; needs a single boundary component."""
+    return compile_curves(F, ()).shape
 
 
 def framing(F: BandSurface) -> int:
@@ -697,34 +695,50 @@ def framing(F: BandSurface) -> int:
 def gl_form(F: BandSurface) -> tuple[tuple[int, ...], ...]:
     """Gordon-Litherland pairing of the band cores: twists plus writhe on
     the diagonal, core-to-double-pushoff linking off it."""
-    shape(F)
     n = F.n_bands
+    curves = [("core", i) for i in range(n)] + [("tau", i) for i in range(n)]
+    # one band has no off-diagonal pairs, so nothing but the surface to check
+    c = compile_curves(F, curves if n > 1 else ())
     G = [[0] * n for _ in range(n)]
     for i in range(n):
         w = sum(ev.sign for ev in F.route if ev.over[0] == i and ev.under[0] == i)
         G[i][i] = F.bands[i].half_twists + 2 * w
-    if n > 1:
-        curves = [("core", i) for i in range(n)] + [("tau", i) for i in range(n)]
-        c = compile_curves(F, curves)
-        for i in range(n):
-            for j in range(i + 1, n):
-                G[i][j] = G[j][i] = c.linking(("core", i), ("tau", j))
+        for j in range(i + 1, n):
+            G[i][j] = G[j][i] = c.linking(("core", i), ("tau", j))
     return tuple(tuple(row) for row in G)
 
 
 def seifert_matrix(F: BandSurface) -> tuple[tuple[int, ...], ...]:
     """V_ij = lk(core i pushed to the positive side, core j)."""
-    sh = shape(F)
-    if not sh.orientable:
-        raise NotOrientableError("surface not orientable")
     n = F.n_bands
-    if n == 0:
-        return ()
     curves = [("pushoff", i, 1) for i in range(n)] + [("core", j) for j in range(n)]
-    c = compile_curves(F, curves)
+    # an odd band has no closed pushoff; compile nothing but the surface
+    # check then, so an invalid surface is reported before its orientability
+    c = compile_curves(F, curves if F.orientable else ())
+    if not F.orientable:
+        raise NotOrientableError("surface not orientable")
     return tuple(
         tuple(c.linking(("pushoff", i, 1), ("core", j)) for j in range(n))
         for i in range(n)
+    )
+
+
+@dataclass(frozen=True)
+class SurfaceAnalysis:
+    """What the screens read off a surface: ``shape(F)``, ``framing(F)``
+    and ``gl_form(F)``."""
+
+    shape: SurfaceShape
+    framing: int
+    gl_form: tuple[tuple[int, ...], ...]
+
+
+def analyze_surface(F: BandSurface) -> SurfaceAnalysis:
+    """Shape, framing and GL form from the two compiles that ``framing``
+    and ``gl_form`` make, so the surface is validated and walked twice."""
+    boundary = compile_curves(F, ("K", "lambda"))
+    return SurfaceAnalysis(
+        boundary.shape, boundary.linking("K", "lambda"), gl_form(F)
     )
 
 

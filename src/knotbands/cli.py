@@ -18,13 +18,11 @@ from .algebra import fp_abelian_invariants
 from .bandform import (
     BandSurface,
     NormalFormError,
+    analyze_surface,
     core_route,
-    framing,
     gamma_curve,
-    gl_form,
     klein_bottle_for_cables,
     mobius_band,
-    shape,
 )
 from .invariants import (
     DEFAULT_SAMPLES,
@@ -74,6 +72,15 @@ def _knot_record(args, flag: str, preset_flag: str):
         )
     route = core_route([tuple(ev) for ev in obj.get("core_route") or []])
     return obj["seifert"], route
+
+
+def _klein_core(args, knot: str):
+    """The core route of K or J for ``klein``: a preset's (a preset without
+    one, the figure-eight, gets the unknot core) or a JSON crossing list."""
+    name = getattr(args, f"preset{knot}")
+    if name is not None:
+        return get_preset(name).core_route or ()
+    return core_route([tuple(ev) for ev in _load_json_arg(getattr(args, f"core{knot}"))])
 
 
 def _samples(args):
@@ -157,9 +164,8 @@ def _cmd_band(args) -> int:
         F = pk.orientable_surface if args.kind == "orientable" else pk.nonorientable_surface
     else:
         F = BandSurface.from_json(_load_json_arg(args.surface))
-    sh = shape(F)
-    f = framing(F)
-    G = gl_form(F)
+    surface = analyze_surface(F)
+    sh, f, G = surface.shape, surface.framing, surface.gl_form
     try:
         sl = gamma_curve(F).self_linking
     except NormalFormError:
@@ -187,12 +193,13 @@ def _cmd_cable(args) -> int:
     v, route = _knot_record(args, "knot", "preset")
     p = args.p
     F = mobius_band(route, p)
-    G = gl_form(F)
+    surface = analyze_surface(F)
+    G = surface.gl_form
     delta_cable = alexander_cable2(alexander(v), p)
     payload = {
         "p": p,
         "surface": F.to_json(),
-        "framing": framing(F),
+        "framing": surface.framing,
         "gl_form": [list(r) for r in G],
         "alexander": delta_cable.to_string(),
         "determinant": abs(delta_cable.evaluate_int(-1)),
@@ -212,25 +219,15 @@ def _cmd_cable(args) -> int:
 
 
 def _cmd_klein(args) -> int:
-    if args.presetK is not None:
-        pk = get_preset(args.presetK)
-        route_k = pk.core_route or ()
-    else:
-        route_k = core_route([tuple(ev) for ev in _load_json_arg(args.coreK)])
-    if args.presetJ is not None:
-        pj = get_preset(args.presetJ)
-        route_j = pj.core_route or ()
-    else:
-        route_j = core_route([tuple(ev) for ev in _load_json_arg(args.coreJ)])
-    F = klein_bottle_for_cables(route_k, route_j, args.p)
-    sh = shape(F)
-    G = gl_form(F)
-    report = slice_obstruction_report(F)
+    F = klein_bottle_for_cables(_klein_core(args, "K"), _klein_core(args, "J"), args.p)
+    surface = analyze_surface(F)
+    G = surface.gl_form
+    report = slice_obstruction_report(surface)
     payload = {
         "p": args.p,
         "surface": F.to_json(),
-        "shape": _shape_json(sh),
-        "framing": framing(F),
+        "shape": _shape_json(surface.shape),
+        "framing": surface.framing,
         "gl_form": [list(r) for r in G],
         "slice_screen": report.to_json(),
     }

@@ -2,9 +2,8 @@
 
 A diagram is Gauss-code level data: each component is a cyclic sequence of
 passages through signed crossings. Nothing is embedded in the plane and
-planarity is never checked; every quantity computed here (writhe, linking
-numbers) is a signed crossing count, with a consistency guard that rejects
-data no classical link could produce.
+planarity is never checked; a linking number is a signed crossing count,
+with a consistency guard that rejects data no classical link could produce.
 
 Sign convention: a crossing is +1 when it is right handed, i.e. the under
 strand passes from right to left when viewed along the over strand. This
@@ -14,7 +13,6 @@ makes the standard diagram of the (2,3) torus knot have writhe +3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 
 class NonclassicalCrossingError(ValueError):
@@ -39,62 +37,10 @@ class CrossingList:
     components: tuple[tuple[int, ...], ...]
     crossings: tuple[Crossing, ...]
 
-    @staticmethod
-    def build(
-        components: Iterable[Iterable[int]], crossings: Iterable[Crossing]
-    ) -> "CrossingList":
-        return CrossingList(
-            tuple(tuple(c) for c in components), tuple(crossings)
-        )
-
-
-def validate(d: CrossingList) -> list[str]:
-    """All invariant violations of the crossing list; empty means ok."""
-    problems: list[str] = []
-    by_id: dict[int, Crossing] = {}
-    for x in d.crossings:
-        if x.id in by_id:
-            problems.append(f"duplicate crossing id {x.id}")
-        by_id[x.id] = x
-        if x.sign not in (1, -1):
-            problems.append(f"crossing {x.id} has sign {x.sign}, expected +1 or -1")
-    seen: dict[tuple[int, int], str] = {}
-    for x in d.crossings:
-        for role, ref in (("over", x.over), ("under", x.under)):
-            c, s = ref
-            if not (0 <= c < len(d.components)) or not (0 <= s < len(d.components[c])):
-                problems.append(f"crossing {x.id} {role} passage {ref} out of range")
-                continue
-            if ref in seen:
-                problems.append(
-                    f"passage {ref} used more than once (crossing {x.id} as {role})"
-                )
-            seen[ref] = role
-            if d.components[c][s] != x.id:
-                problems.append(
-                    f"component {c} slot {s} holds id {d.components[c][s]}, "
-                    f"but crossing {x.id} claims it as {role}"
-                )
-    for c, comp in enumerate(d.components):
-        for s, cid in enumerate(comp):
-            if cid not in by_id:
-                problems.append(f"component {c} slot {s} refers to unknown crossing {cid}")
-            elif (c, s) not in seen:
-                problems.append(f"component {c} slot {s} is claimed by no crossing role")
-    return problems
-
 
 def _check_component(d: CrossingList, c: int) -> None:
     if not (0 <= c < len(d.components)):
         raise IndexError(f"component index {c} out of range")
-
-
-def writhe(d: CrossingList, c: int) -> int:
-    """Signed count of self-crossings of component c."""
-    _check_component(d, c)
-    return sum(
-        x.sign for x in d.crossings if x.over[0] == c and x.under[0] == c
-    )
 
 
 def over_counts(d: CrossingList, a: int, b: int) -> tuple[int, int]:
@@ -121,9 +67,3 @@ def classical_linking(a: int, b: int, a_over_b: int, b_over_a: int) -> int:
             f"component {b} over {a} gives {b_over_a}"
         )
     return a_over_b
-
-
-def linking_number(d: CrossingList, a: int, b: int) -> int:
-    """Signed count of crossings where a passes over b, checked against
-    the count with roles reversed (see ``classical_linking``)."""
-    return classical_linking(a, b, *over_counts(d, a, b))

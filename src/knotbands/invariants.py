@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .algebra import (
     LaurentPoly,
@@ -206,64 +206,6 @@ def levine_tristram(seifert, omega: Omega) -> SignatureSample:
 def sigma_function(seifert) -> Callable[[Omega], SignatureSample]:
     V = _as_matrix(seifert)
     return lambda omega: levine_tristram(V, omega)
-
-
-# ---------------------------------------------------------------------------
-# the squared-parameter comparison for (2,p) cable companions
-
-
-@dataclass(frozen=True)
-class SigmaSquaredEntry:
-    omega: Omega
-    sigma_k: int | None
-    sigma_j_squared: int | None
-    status: str  # "agree" | "disagree" | "skipped-singular"
-
-    def to_json(self) -> dict:
-        return {
-            "omega": self.omega.to_json(),
-            "sigma_k": self.sigma_k,
-            "sigma_j_squared": self.sigma_j_squared,
-            "status": self.status,
-        }
-
-
-@dataclass(frozen=True)
-class SigmaSquaredReport:
-    entries: tuple[SigmaSquaredEntry, ...]
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "entries": [e.to_json() for e in self.entries],
-            "passed": self.passed,
-        }
-
-
-def sigma_squared_compare(
-    v_k, v_j, samples: Iterable[Omega] | None = None
-) -> SigmaSquaredReport:
-    """Check sigma_K(omega) = sigma_J(omega^2) sample-by-sample, skipping
-    singular points on either side and the square root of 1."""
-    v_k = _as_matrix(v_k)
-    v_j = _as_matrix(v_j)
-    entries = []
-    for omega in DEFAULT_SAMPLES if samples is None else samples:
-        squared = omega.squared()
-        if squared is None:
-            entries.append(SigmaSquaredEntry(omega, None, None, "skipped-singular"))
-            continue
-        sk = levine_tristram(v_k, omega)
-        sj = levine_tristram(v_j, squared)
-        if sk.singular or sj.singular:
-            entries.append(
-                SigmaSquaredEntry(omega, sk.value, sj.value, "skipped-singular")
-            )
-            continue
-        status = "agree" if sk.value == sj.value else "disagree"
-        entries.append(SigmaSquaredEntry(omega, sk.value, sj.value, status))
-    passed = all(e.status != "disagree" for e in entries)
-    return SigmaSquaredReport(tuple(entries), passed)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from .algebra import (
 from .bandform import (
     BandSurface,
     RouteEvent,
+    SurfaceAnalysis,
+    analyze_surface,
     boundary_connect_sum,
     boundary_walk,
     core_route,
@@ -42,6 +44,7 @@ from .bandform import (
 from .invariants import (
     DEFAULT_SAMPLES,
     Omega,
+    SignatureSample,
     alexander,
     alexander_cable2,
     alexander_satellite,
@@ -50,7 +53,6 @@ from .invariants import (
     levine_tristram,
     sigma_function,
     sigma_satellite,
-    sigma_squared_compare,
     signature,
 )
 from .presets import get_preset, preset_names
@@ -105,15 +107,17 @@ class ObstructionReport:
 # checkers
 
 
-def genus_framing_check(F: BandSurface, v_orientable=None) -> ObstructionReport:
+def genus_framing_check(
+    surface: SurfaceAnalysis, v_orientable=None
+) -> ObstructionReport:
     """Framing mod 4 against genus parity; optionally the signature
     bridge against an orientable Seifert matrix for the same boundary."""
-    sh = shape(F)
+    sh = surface.shape
     if sh.orientable:
         raise ValueError(
             "orientable input: the genus-framing relation concerns non-orientable surfaces"
         )
-    f = framing(F)
+    f = surface.framing
     expected = 2 if sh.genus % 2 else 0
     tests = [
         TestResult(
@@ -124,7 +128,7 @@ def genus_framing_check(F: BandSurface, v_orientable=None) -> ObstructionReport:
     ]
     if v_orientable is not None:
         lhs = signature(v_orientable)
-        rhs = signature_exact([list(r) for r in gl_form(F)]) - f // 2
+        rhs = signature_exact([list(r) for r in surface.gl_form]) - f // 2
         tests.append(
             TestResult(
                 "signature-bridge",
@@ -151,28 +155,71 @@ def determinant_mod8_check(gl) -> ObstructionReport:
     )
 
 
+def _sigma_leg(
+    name: str,
+    sk: SignatureSample,
+    sj: SignatureSample,
+    details: str,
+    singular_details: str | None = None,
+) -> TestResult:
+    """One signature comparison: skipped when either sample is singular,
+    else a pass exactly when the two values are equal."""
+    if sk.singular or sj.singular:
+        return TestResult(
+            name,
+            "skipped-singular",
+            details if singular_details is None else singular_details,
+        )
+    return TestResult(name, "pass" if sk.value == sj.value else "fail", details)
+
+
+def sigma_squared_check(
+    v_k, v_j, samples: Iterable[Omega] | None = None
+) -> ObstructionReport:
+    """sigma_K(omega) = sigma_J(omega^2) at each sample, skipped where
+    either side is singular; omega^2 = 1 counts as singular on both."""
+    sigma_k = sigma_function(v_k)
+    sigma_j = sigma_function(v_j)
+    tests = []
+    for omega in DEFAULT_SAMPLES if samples is None else samples:
+        squared = omega.squared()
+        if squared is None:
+            sk = sj = SignatureSample(omega, None, True)
+        else:
+            sk, sj = sigma_k(omega), sigma_j(squared)
+        tests.append(
+            _sigma_leg(
+                f"sigma-squared {omega.label()}",
+                sk,
+                sj,
+                f"sigma_K = {sk.value}, sigma_J(omega^2) = {sj.value}",
+            )
+        )
+    return ObstructionReport(tuple(tests))
+
+
 def slice_obstruction_report(
-    F: BandSurface,
+    surface: SurfaceAnalysis,
     v_j=None,
     samples: Iterable[Omega] | None = None,
     v_boundary=None,
 ) -> ObstructionReport:
-    """Screen the boundary of a zero-framed punctured Klein bottle against
-    the invariant constraints that sliceness would impose.
+    """Screen the boundary of a zero-framed punctured Klein bottle, given
+    by its ``analyze_surface``, against the invariant constraints that
+    sliceness would impose.
 
     v_j: claimed Seifert matrix of the 2-sided companion J (enables the
     squared-parameter signature test when v_boundary is also given).
     v_boundary: independent Seifert matrix of the boundary knot itself.
     """
-    sh = shape(F)
+    sh = surface.shape
     if sh.orientable or sh.genus != 2:
         raise ValueError(
             "not a punctured Klein bottle: need a single-boundary non-orientable genus-2 surface"
         )
-    f = framing(F)
-    if f != 0:
-        raise ValueError(f"framing must be 0, got {f}")
-    G = gl_form(F)
+    if surface.framing != 0:
+        raise ValueError(f"framing must be 0, got {surface.framing}")
+    G = surface.gl_form
     tests = [determinant_mod8_check(G).tests[0]]
     sig_g = signature_exact([list(r) for r in G])
     tests.append(
@@ -192,20 +239,7 @@ def slice_obstruction_report(
             )
         )
         if v_j is not None:
-            rep = sigma_squared_compare(v_boundary, v_j, samples)
-            for e in rep.entries:
-                status = {
-                    "agree": "pass",
-                    "disagree": "fail",
-                    "skipped-singular": "skipped-singular",
-                }[e.status]
-                tests.append(
-                    TestResult(
-                        f"sigma-squared {e.omega.label()}",
-                        status,
-                        f"sigma_K = {e.sigma_k}, sigma_J(omega^2) = {e.sigma_j_squared}",
-                    )
-                )
+            tests.extend(sigma_squared_check(v_boundary, v_j, samples).tests)
     return ObstructionReport(tuple(tests))
 
 
@@ -221,20 +255,13 @@ def cable_concordance_check(
     for omega in DEFAULT_SAMPLES if samples is None else samples:
         sk = levine_tristram(v_k, omega)
         sj = levine_tristram(v_j, omega)
-        if sk.singular or sj.singular:
-            tests.append(
-                TestResult(
-                    f"sigma-match {omega.label()}",
-                    "skipped-singular",
-                    "Alexander root on one side",
-                )
-            )
-            continue
         tests.append(
-            TestResult(
+            _sigma_leg(
                 f"sigma-match {omega.label()}",
-                "pass" if sk.value == sj.value else "fail",
+                sk,
+                sj,
                 f"sigma_K = {sk.value}, sigma_J = {sj.value}",
+                "Alexander root on one side",
             )
         )
     dk = abs(alexander_cable2(alexander(v_k), p).evaluate_int(-1))
@@ -571,13 +598,13 @@ def _prop_gamma_law(t: _Tally, rng: random.Random, trials: int) -> None:
 def _prop_signature_bridge(t: _Tally, rng: random.Random, trials: int) -> None:
     for name in preset_names():
         pk = get_preset(name)
-        F = pk.nonorientable_surface
+        surface = analyze_surface(pk.nonorientable_surface)
         lhs = signature(pk.seifert)
-        rhs = signature_exact([list(r) for r in gl_form(F)]) - framing(F) // 2
+        rhs = signature_exact([list(r) for r in surface.gl_form]) - surface.framing // 2
         t.check(lhs == rhs, f"{name}: {lhs} != {rhs}")
         sym = signature_exact([list(r) for r in gl_form(pk.orientable_surface)])
         t.check(lhs == sym, f"{name} orientable GL: {lhs} != {sym}")
-        rep = genus_framing_check(F, v_orientable=pk.seifert)
+        rep = genus_framing_check(surface, v_orientable=pk.seifert)
         t.check(rep.verdict == "consistent", f"{name} genus_framing_check")
 
 
@@ -612,16 +639,16 @@ def _prop_klein_obstructions(t: _Tally, rng: random.Random, trials: int) -> None
         core_k, delta_k = random_core(rng)
         core_j, _delta_j = random_core(rng)
         for p in (-5, -3, -1, 1, 3, 5):
-            F = klein_bottle_for_cables(core_k, core_j, p)
-            t.check(framing(F) == 0, f"framing p={p}")
-            d = determinant_knot(gl=gl_form(F))
+            surface = analyze_surface(klein_bottle_for_cables(core_k, core_j, p))
+            t.check(surface.framing == 0, f"framing p={p}")
+            d = determinant_knot(gl=surface.gl_form)
             t.check(d == p * p, f"det GL {d} != p^2")
             t.check(d % 8 in (1, 7), f"det mod 8: {d}")
             t.check(
                 abs(alexander_cable2(delta_k, p).evaluate_int(-1)) == abs(p),
                 "cable determinant",
             )
-            rep = slice_obstruction_report(F)
+            rep = slice_obstruction_report(surface)
             t.check(rep.verdict == "consistent", "slice screen on honest bottle")
             built += 1
 
@@ -778,18 +805,21 @@ def _prop_surgery(t: _Tally, rng: random.Random, trials: int) -> None:
         t.check(framing(Fz) == 0, "zero_framing_stabilize")
 
 
+# name -> (stream key, property). ``verify_paper`` draws each property's
+# inputs from Random(f"{seed}:{stream key}"); the keys are fixed strings, so
+# renaming a property function moves no draw.
 PROPERTIES = {
-    "framing-fixtures": _prop_framing_fixtures,
-    "genus-framing-lemma": _prop_genus_framing,
-    "gamma-law": _prop_gamma_law,
-    "signature-bridge": _prop_signature_bridge,
-    "invariant-table": _prop_invariant_table,
-    "klein-slice-obstruction": _prop_klein_obstructions,
-    "satellite-formulas": _prop_satellite,
-    "homology-z2": _prop_homology,
-    "cable-screen": _prop_cable_screen,
-    "algebra-oracles": _prop_algebra_oracles,
-    "surgery-and-stabilization": _prop_surgery,
+    "framing-fixtures": ("_prop_framing_fixtures", _prop_framing_fixtures),
+    "genus-framing-lemma": ("_prop_genus_framing", _prop_genus_framing),
+    "gamma-law": ("_prop_gamma_law", _prop_gamma_law),
+    "signature-bridge": ("_prop_signature_bridge", _prop_signature_bridge),
+    "invariant-table": ("_prop_invariant_table", _prop_invariant_table),
+    "klein-slice-obstruction": ("_prop_klein_obstructions", _prop_klein_obstructions),
+    "satellite-formulas": ("_prop_satellite", _prop_satellite),
+    "homology-z2": ("_prop_homology", _prop_homology),
+    "cable-screen": ("_prop_cable_screen", _prop_cable_screen),
+    "algebra-oracles": ("_prop_algebra_oracles", _prop_algebra_oracles),
+    "surgery-and-stabilization": ("_prop_surgery", _prop_surgery),
 }
 
 
@@ -799,7 +829,8 @@ def run_property(
     """Check the named battery property on its fixed inputs and on
     ``trials`` inputs drawn from rng."""
     t = _Tally()
-    PROPERTIES[name](t, rng, trials, **options)
+    _key, prop = PROPERTIES[name]
+    prop(t, rng, trials, **options)
     return VerifyProperty(name, t.cases, t.failures, t.detail)
 
 
@@ -811,7 +842,7 @@ def verify_paper(seed: int = 0, trials: int = 100) -> VerifySummary:
         seed,
         trials,
         tuple(
-            run_property(name, random.Random(f"{seed}:{prop.__name__}"), trials)
-            for name, prop in PROPERTIES.items()
+            run_property(name, random.Random(f"{seed}:{key}"), trials)
+            for name, (key, _prop) in PROPERTIES.items()
         ),
     )

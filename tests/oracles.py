@@ -4,12 +4,14 @@ Everything here is deliberately computed by a different route than the
 library takes: determinants by cofactor expansion, Arf from a symplectic
 basis of the mod-2 intersection form, twist-box crossings by braiding the
 strands one half twist at a time, and Seifert matrices read brick by
-brick off braid words.
+brick off braid words. ``validate_diagram`` checks the crossing lists the
+curve compiler emits against the invariants any Gauss code must satisfy.
 """
 
 from __future__ import annotations
 
 from knotbands import LaurentPoly
+from knotbands.diagram import Crossing, CrossingList
 
 
 def _as_poly(entry):
@@ -76,6 +78,42 @@ def arf_symplectic(v) -> int:
             rest.append(w)
         vecs = rest
     return arf
+
+
+def validate_diagram(d: CrossingList) -> list[str]:
+    """All invariant violations of the crossing list; empty means ok."""
+    problems: list[str] = []
+    by_id: dict[int, Crossing] = {}
+    for x in d.crossings:
+        if x.id in by_id:
+            problems.append(f"duplicate crossing id {x.id}")
+        by_id[x.id] = x
+        if x.sign not in (1, -1):
+            problems.append(f"crossing {x.id} has sign {x.sign}, expected +1 or -1")
+    seen: dict[tuple[int, int], str] = {}
+    for x in d.crossings:
+        for role, ref in (("over", x.over), ("under", x.under)):
+            c, s = ref
+            if not (0 <= c < len(d.components)) or not (0 <= s < len(d.components[c])):
+                problems.append(f"crossing {x.id} {role} passage {ref} out of range")
+                continue
+            if ref in seen:
+                problems.append(
+                    f"passage {ref} used more than once (crossing {x.id} as {role})"
+                )
+            seen[ref] = role
+            if d.components[c][s] != x.id:
+                problems.append(
+                    f"component {c} slot {s} holds id {d.components[c][s]}, "
+                    f"but crossing {x.id} claims it as {role}"
+                )
+    for c, comp in enumerate(d.components):
+        for s, cid in enumerate(comp):
+            if cid not in by_id:
+                problems.append(f"component {c} slot {s} refers to unknown crossing {cid}")
+            elif (c, s) not in seen:
+                problems.append(f"component {c} slot {s} is claimed by no crossing role")
+    return problems
 
 
 def twist_box_over_counts(directions, h) -> dict[tuple[int, int], int]:

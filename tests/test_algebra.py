@@ -24,7 +24,7 @@ class TestLaurentPoly:
     def test_constructor_drops_zeros(self):
         assert LaurentPoly({3: 0, 0: 2}) == LaurentPoly({0: 2})
 
-    def test_string_round_trip_fixtures(self):
+    def test_to_string_fixtures(self):
         cases = [
             ({}, "0"),
             ({0: 1}, "1"),
@@ -38,12 +38,6 @@ class TestLaurentPoly:
         for coeffs, text in cases:
             p = LaurentPoly(coeffs)
             assert p.to_string() == text
-            assert LaurentPoly.from_string(text) == p
-
-    def test_from_string_rejects_garbage(self):
-        for bad in ("", "t^", "2x", "t^1.5", "+ +", "t**2"):
-            with pytest.raises(ValueError):
-                LaurentPoly.from_string(bad)
 
     def test_evaluate_and_substitute(self):
         p = LaurentPoly({-1: 1, 0: -1, 1: 1})

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from knotbands.bandform import (
     NormalFormError,
     NotOrientableError,
     RouteEvent,
+    SurfaceAnalysis,
+    analyze_surface,
     boundary_connect_sum,
     boundary_walk,
     compile_curves,
@@ -28,9 +31,9 @@ from knotbands.bandform import (
     validate_surface,
     zero_framing_stabilize,
 )
-from knotbands.diagram import validate as validate_diagram
 from knotbands.obstruct import random_band_surface, random_core, random_normal_form
 from knotbands.presets import get_preset
+from oracles import validate_diagram
 
 TREFOIL_CORE = core_route([(0, 3, 1), (4, 1, 1), (2, 5, 1)])
 
@@ -249,6 +252,74 @@ class TestGlForm:
         F = random_band_surface(random.Random(seed), max_bands=4, max_events=8)
         G = gl_form(F)
         assert all(G[i][j] == G[j][i] for i in range(len(G)) for j in range(len(G)))
+
+
+class TestAnalyzeSurface:
+    """analyze_surface against shape, framing and gl_form called one by one."""
+
+    @staticmethod
+    def one_by_one(F):
+        return SurfaceAnalysis(shape(F), framing(F), gl_form(F))
+
+    def test_random_band_surfaces(self):
+        rng = random.Random(606)
+        for orientable in (False, True):
+            for _ in range(40):
+                F = random_band_surface(rng, orientable=orientable)
+                assert analyze_surface(F) == self.one_by_one(F)
+
+    def test_random_normal_forms(self):
+        rng = random.Random(607)
+        for i in range(40):
+            F = random_normal_form(rng, force_zero_framing=(i % 2 == 0))
+            assert analyze_surface(F) == self.one_by_one(F)
+
+    def test_klein_bottles_for_cables(self):
+        t25 = get_preset("t25").core_route
+        for core_k, core_j in (((), ()), (TREFOIL_CORE, ()), (TREFOIL_CORE, t25)):
+            for p in (-2001, -7, -1, 1, 3, 401, 2001):
+                F = klein_bottle_for_cables(core_k, core_j, p)
+                got = analyze_surface(F)
+                assert got == self.one_by_one(F)
+                assert got.framing == 0 and got.shape.genus == 2
+
+    @pytest.mark.parametrize(
+        "F, error, message",
+        [
+            (
+                BandSurface.build([1], [(0, "A"), (0, "B")], [((0, 0), (0, 0), 1)]),
+                ValueError,
+                "invalid surface: route event 0 crosses a slot with itself",
+            ),
+            (
+                two_bands(1, 0, True),
+                ValueError,
+                "invalid surface: route crossings between bands 0 and 1 are "
+                "unbalanced: net 0 over-minus-under, expected -1; "
+                "no classical surface realizes this",
+            ),
+            (
+                BandSurface.build([2], [(0, "A")]),
+                ValueError,
+                "invalid surface: attach has length 1, expected 2",
+            ),
+            (
+                two_bands(1, 0, False),
+                MultipleBoundaryError,
+                "multiple boundary components: boundary walk found 2",
+            ),
+            (
+                mobius(0),
+                MultipleBoundaryError,
+                "multiple boundary components: boundary walk found 2",
+            ),
+        ],
+    )
+    def test_bad_surfaces_raise_as_before(self, F, error, message):
+        for fn in (shape, framing, gl_form, seifert_matrix, analyze_surface):
+            with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+                fn(F)
+            assert type(info.value) is error
 
 
 class TestGamma:

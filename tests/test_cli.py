@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from knotbands import BandSurface, framing
+from knotbands import BandSurface, bandform, framing
 from knotbands.cli import run
 
 TREFOIL_CORE_JSON = "[[0,3,1],[4,1,1],[2,5,1]]"
@@ -147,6 +147,22 @@ class TestKlein:
         )
         assert code == 0
         assert "framing: 0" in out
+
+    def test_surface_is_validated_walked_and_compiled_twice(self, capsys, monkeypatch):
+        calls = {"validate_surface": 0, "boundary_walk": 0, "compile_curves": 0}
+        for name in calls:
+            original = getattr(bandform, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(bandform, name, counted)
+        code, _, _ = call(
+            capsys, "klein", "--presetK", "trefoil", "--presetJ", "t25", "-p", "3"
+        )
+        assert code == 0
+        assert calls == {"validate_surface": 2, "boundary_walk": 2, "compile_curves": 2}
 
 
 class TestObstructCable:

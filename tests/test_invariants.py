@@ -18,7 +18,6 @@ from knotbands.invariants import (
     levine_tristram,
     sigma_function,
     sigma_satellite,
-    sigma_squared_compare,
     signature,
     torus2_alexander,
 )
@@ -207,45 +206,6 @@ class TestLevineTristram:
     def test_congruence_invariance(self, v, seed, w):
         p = random_unimodular(random.Random(seed), len(v))
         assert levine_tristram(conjugate(v, p), w).value == levine_tristram(v, w).value
-
-
-class TestSigmaSquared:
-    def test_trefoil_against_itself_fails(self):
-        report = sigma_squared_compare(TREFOIL, TREFOIL)
-        assert [e.status for e in report.entries] == [
-            "skipped-singular", "disagree", "disagree", "agree", "agree", "agree",
-        ]
-        assert report.passed is False
-
-    def test_unknot_self_comparison_passes(self):
-        report = sigma_squared_compare(UNKNOT, UNKNOT)
-        assert report.passed is True
-        assert [e.status for e in report.entries] == (
-            ["skipped-singular"] + ["agree"] * 5
-        )
-
-    def test_custom_samples(self):
-        report = sigma_squared_compare(
-            TREFOIL, TREFOIL, samples=[Omega.from_s(Fraction(2, 3))]
-        )
-        assert len(report.entries) == 1
-        assert report.entries[0].status == "agree"
-        assert report.entries[0].sigma_k == report.entries[0].sigma_j_squared == -2
-
-    def test_singular_side_skips(self):
-        report = sigma_squared_compare(ALWAYS_SINGULAR, TREFOIL)
-        assert all(e.status == "skipped-singular" for e in report.entries)
-        assert report.passed is True  # skips never obstruct
-
-    def test_json_shape(self):
-        data = sigma_squared_compare(UNKNOT, UNKNOT).to_json()
-        assert set(data) == {"entries", "passed"}
-        assert data["entries"][0] == {
-            "omega": {"omega": -1},
-            "sigma_k": None,
-            "sigma_j_squared": None,
-            "status": "skipped-singular",
-        }
 
 
 class TestTorusAndCables:

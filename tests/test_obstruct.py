@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from knotbands.algebra import LaurentPoly, det_int
 from knotbands.bandform import (
     BandSurface,
+    analyze_surface,
     framing,
     gl_form,
     klein_bottle_for_cables,
@@ -16,6 +18,7 @@ from knotbands.bandform import (
 )
 from knotbands.invariants import Omega, determinant_knot
 from knotbands.obstruct import (
+    PROPERTIES,
     ObstructionReport,
     TestResult as CheckResult,
     cable_concordance_check,
@@ -24,6 +27,7 @@ from knotbands.obstruct import (
     random_core,
     random_normal_form,
     random_unimodular,
+    sigma_squared_check,
     slice_obstruction_report,
     verify_paper,
 )
@@ -32,6 +36,10 @@ from knotbands.presets import get_preset
 TREFOIL = get_preset("trefoil").seifert
 T25 = get_preset("t25").seifert
 UNKNOT = get_preset("unknot").seifert
+
+# every Hermitian evaluation of this matrix is singular: the first
+# generator pairs to zero against everything
+ALWAYS_SINGULAR = ((0, 0), (0, 1))
 
 BATTERY_NAMES = [
     "framing-fixtures",
@@ -46,6 +54,21 @@ BATTERY_NAMES = [
     "algebra-oracles",
     "surgery-and-stabilization",
 ]
+
+# the first rng.random() of each property's stream at seed 0
+FIRST_DRAWS_SEED_0 = {
+    "framing-fixtures": 0.43227934803863644,
+    "genus-framing-lemma": 0.6017707486969518,
+    "gamma-law": 0.1275506278924845,
+    "signature-bridge": 0.6973236498617499,
+    "invariant-table": 0.5536587420773006,
+    "klein-slice-obstruction": 0.3948221283749609,
+    "satellite-formulas": 0.6105700913376431,
+    "homology-z2": 0.9230594390109512,
+    "cable-screen": 0.41572507692925476,
+    "algebra-oracles": 0.08438915820013371,
+    "surgery-and-stabilization": 0.08577800331589924,
+}
 
 
 class TestReports:
@@ -83,25 +106,25 @@ class TestReports:
 class TestGenusFraming:
     def test_trefoil_mobius(self):
         F = get_preset("trefoil").nonorientable_surface
-        rep = genus_framing_check(F)
+        rep = genus_framing_check(analyze_surface(F))
         assert [t.name for t in rep.tests] == ["genus-framing"]
         assert rep.verdict == "consistent"
 
     def test_with_signature_bridge(self):
         F = get_preset("trefoil").nonorientable_surface
-        rep = genus_framing_check(F, v_orientable=TREFOIL)
+        rep = genus_framing_check(analyze_surface(F), v_orientable=TREFOIL)
         assert [t.name for t in rep.tests] == ["genus-framing", "signature-bridge"]
         assert rep.verdict == "consistent"
 
     def test_mismatched_bridge_obstructs(self):
         F = get_preset("trefoil").nonorientable_surface
-        rep = genus_framing_check(F, v_orientable=T25)
+        rep = genus_framing_check(analyze_surface(F), v_orientable=T25)
         assert {t.name: t.status for t in rep.tests}["signature-bridge"] == "fail"
         assert rep.verdict == "obstructed"
 
     def test_rejects_orientable(self):
         with pytest.raises(ValueError, match="orientable input"):
-            genus_framing_check(get_preset("trefoil").orientable_surface)
+            genus_framing_check(analyze_surface(get_preset("trefoil").orientable_surface))
 
 
 class TestDeterminantMod8:
@@ -119,7 +142,7 @@ class TestDeterminantMod8:
 class TestSliceReport:
     def test_baseline_klein_bottle(self):
         F = klein_bottle_for_cables((), (), 1)
-        rep = slice_obstruction_report(F)
+        rep = slice_obstruction_report(analyze_surface(F))
         assert [t.name for t in rep.tests] == [
             "determinant-mod-8",
             "ordinary-signature",
@@ -128,12 +151,12 @@ class TestSliceReport:
 
     def test_companion_alone_adds_nothing(self):
         F = klein_bottle_for_cables((), (), 1)
-        rep = slice_obstruction_report(F, v_j=TREFOIL)
+        rep = slice_obstruction_report(analyze_surface(F), v_j=TREFOIL)
         assert len(rep.tests) == 2
 
     def test_full_report_names_and_verdict(self):
         F = klein_bottle_for_cables((), (), 1)
-        rep = slice_obstruction_report(F, v_j=TREFOIL, v_boundary=TREFOIL)
+        rep = slice_obstruction_report(analyze_surface(F), v_j=TREFOIL, v_boundary=TREFOIL)
         assert [(t.name, t.status) for t in rep.tests] == [
             ("determinant-mod-8", "pass"),
             ("ordinary-signature", "pass"),
@@ -149,13 +172,13 @@ class TestSliceReport:
 
     def test_slice_boundary_matrix_consistent(self):
         F = klein_bottle_for_cables((), (), 1)
-        rep = slice_obstruction_report(F, v_j=UNKNOT, v_boundary=UNKNOT)
+        rep = slice_obstruction_report(analyze_surface(F), v_j=UNKNOT, v_boundary=UNKNOT)
         assert rep.verdict == "consistent"
 
     def test_custom_samples(self):
         F = klein_bottle_for_cables((), (), 1)
         rep = slice_obstruction_report(
-            F,
+            analyze_surface(F),
             v_j=UNKNOT,
             v_boundary=UNKNOT,
             samples=[Omega.from_s(1)],
@@ -164,9 +187,13 @@ class TestSliceReport:
 
     def test_shape_contract(self):
         with pytest.raises(ValueError, match="not a punctured Klein bottle"):
-            slice_obstruction_report(BandSurface.build([1], [(0, "A"), (0, "B")]))
+            slice_obstruction_report(
+                analyze_surface(BandSurface.build([1], [(0, "A"), (0, "B")]))
+            )
         with pytest.raises(ValueError, match="not a punctured Klein bottle"):
-            slice_obstruction_report(get_preset("trefoil").orientable_surface)
+            slice_obstruction_report(
+                analyze_surface(get_preset("trefoil").orientable_surface)
+            )
 
     def test_framing_contract(self):
         twisted = BandSurface.build(
@@ -174,13 +201,55 @@ class TestSliceReport:
         )
         assert shape(twisted).genus == 2 and not shape(twisted).orientable
         with pytest.raises(ValueError, match="framing must be 0, got 4"):
-            slice_obstruction_report(twisted)
+            slice_obstruction_report(analyze_surface(twisted))
 
     def test_nontrivial_cores_still_screen(self):
         core, _ = random_core(random.Random(11))
         F = klein_bottle_for_cables(core, (), 3)
-        rep = slice_obstruction_report(F)
+        rep = slice_obstruction_report(analyze_surface(F))
         assert rep.verdict == "consistent"
+
+
+class TestSigmaSquared:
+    def test_trefoil_against_itself_fails(self):
+        rep = sigma_squared_check(TREFOIL, TREFOIL)
+        assert [t.status for t in rep.tests] == [
+            "skipped-singular", "fail", "fail", "pass", "pass", "pass",
+        ]
+        assert rep.verdict == "obstructed"
+
+    def test_unknot_self_comparison_passes(self):
+        rep = sigma_squared_check(UNKNOT, UNKNOT)
+        assert rep.verdict == "consistent"
+        assert [t.status for t in rep.tests] == ["skipped-singular"] + ["pass"] * 5
+
+    def test_custom_samples(self):
+        rep = sigma_squared_check(
+            TREFOIL, TREFOIL, samples=[Omega.from_s(Fraction(2, 3))]
+        )
+        assert rep.to_json()["tests"] == [
+            {
+                "name": "sigma-squared s=2/3",
+                "status": "pass",
+                "details": "sigma_K = -2, sigma_J(omega^2) = -2",
+            }
+        ]
+
+    def test_singular_side_skips(self):
+        rep = sigma_squared_check(ALWAYS_SINGULAR, TREFOIL)
+        assert all(t.status == "skipped-singular" for t in rep.tests)
+        assert rep.tests[1].details == "sigma_K = None, sigma_J(omega^2) = -2"
+        assert rep.verdict == "consistent"  # skips never obstruct
+        rep = sigma_squared_check(TREFOIL, ALWAYS_SINGULAR)
+        assert all(t.status == "skipped-singular" for t in rep.tests)
+        assert rep.tests[1].details == "sigma_K = 0, sigma_J(omega^2) = None"
+
+    def test_square_root_of_one_is_skipped(self):
+        assert sigma_squared_check(UNKNOT, UNKNOT).to_json()["tests"][0] == {
+            "name": "sigma-squared omega=-1",
+            "status": "skipped-singular",
+            "details": "sigma_K = None, sigma_J(omega^2) = None",
+        }
 
 
 class TestCableCheck:
@@ -282,3 +351,24 @@ class TestVerifyPaper:
         assert data["seed"] == 0 and data["trials"] == 2
         text = summary.to_text()
         assert text.count("pass") >= len(BATTERY_NAMES)
+
+    def test_first_draw_of_every_stream(self, monkeypatch):
+        first = {}
+        for name, (key, _prop) in list(PROPERTIES.items()):
+
+            def record(t, rng, trials, name=name):
+                first[name] = rng.random()
+
+            monkeypatch.setitem(PROPERTIES, name, (key, record))
+        verify_paper(seed=0, trials=1)
+        assert first == FIRST_DRAWS_SEED_0
+
+    def test_renaming_a_property_function_keeps_the_output(self, monkeypatch):
+        before = verify_paper(seed=3, trials=3).to_json()
+        for name, (key, prop) in list(PROPERTIES.items()):
+
+            def renamed(t, rng, trials, prop=prop):
+                prop(t, rng, trials)
+
+            monkeypatch.setitem(PROPERTIES, name, (key, renamed))
+        assert verify_paper(seed=3, trials=3).to_json() == before

@@ -17,10 +17,9 @@ from knotbands.invariants import (
     alexander_cable2,
     arf,
     determinant_knot,
-    sigma_squared_compare,
     signature,
 )
-from knotbands.obstruct import random_band_surface
+from knotbands.obstruct import random_band_surface, sigma_squared_check
 
 # name, braid word, Alexander polynomial, signature, determinant, arf
 CALIBRATION = [
@@ -116,11 +115,9 @@ class TestCableRoundTrip:
     def test_cable_satisfies_squared_signature_screen(self):
         v_cable = oracles.seifert_from_braid(oracles.CABLE21_TREFOIL_WORD)
         v_tref = oracles.seifert_from_braid(oracles.RIGHT_TREFOIL_WORD)
-        report = sigma_squared_compare(v_cable, v_tref)
-        assert report.passed is True
-        assert [e.status for e in report.entries] == (
-            ["skipped-singular"] + ["agree"] * 5
-        )
+        report = sigma_squared_check(v_cable, v_tref)
+        assert report.verdict == "consistent"
+        assert [t.status for t in report.tests] == ["skipped-singular"] + ["pass"] * 5
 
 
 class TestArfOracle:
