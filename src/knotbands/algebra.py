@@ -27,7 +27,7 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for e, v in coeffs.items():
-                if not isinstance(e, int) or isinstance(v, bool) or not isinstance(v, int):
+                if type(e) is not int or type(v) is not int:
                     raise ValueError("exponents and coefficients must be integers")
                 if v != 0:
                     c[e] = v
@@ -331,7 +331,12 @@ def signature_exact(rows: Sequence[Sequence]) -> int:
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
     """Invariant factors d1 | d2 | ... (each >= 1) and rank of an integer matrix."""
-    a = [list(map(int, r)) for r in rows]
+    a = [list(r) for r in rows]
+    for r in a:
+        for x in r:
+            # floats and bools are rejected, not truncated
+            if type(x) is not int:
+                raise ValueError(f"matrix entries must be integers, got {x!r}")
     m = len(a)
     n = len(a[0]) if m else 0
     if any(len(r) != n for r in a):
@@ -441,9 +446,6 @@ def fp_abelian_invariants(
             raise ValueError(
                 f"relation length {len(row)} does not match generator count {generators}"
             )
-        for x in row:
-            if type(x) is not int:
-                raise ValueError(f"relation entries must be integers, got {x!r}")
     if not rel:
         return AbelianInvariants(generators, ())
     factors, rank = smith_normal_form(rel)

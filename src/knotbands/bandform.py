@@ -4,12 +4,15 @@ A surface is presented by per-band half-twist counts, the cyclic order in
 which band ends meet the disk, and an ordered list of band-over-band
 crossing events. ``compile_curves`` turns a surface plus a selection of
 curves (boundary K, longitude lambda, band cores, pushoffs, the curve
-gamma through the 2-sided cores) into a crossing-list diagram plus counted
-twist-box crossings, from which framings and the Gordon-Litherland and
-Seifert forms are exact linking computations.
+gamma through the 2-sided cores) into signed crossings between components
+plus counted twist-box crossings, from which framings and the
+Gordon-Litherland and Seifert forms are exact linking computations.
 
 Geometric conventions baked into the compiler:
 
+- Each curve runs along a band at an integer transverse position u: the
+  boundary K at +-4, the longitude lambda at +-2, cores, pushoffs and gamma
+  at 0, gamma's parallel at 1.
 - Band ends sit at 2n sites on a convex arc, at exact integer points
   P(k) = (k, k^2); curves through the disk run as straight chords, so two
   chords cross iff their site pairs interleave, and crossing signs are
@@ -30,7 +33,6 @@ Geometric conventions baked into the compiler:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .diagram import Crossing, CrossingList, classical_linking, over_counts
@@ -314,7 +316,7 @@ def boundary_walk(F: BandSurface):
     for i in range(n):
         a, b, h = pos_a[i], pos_b[i], F.bands[i].half_twists
         flip = -1 if h % 2 else 1
-        # edge 0 runs at transverse position +2 outside the twist box; an
+        # edge 0 runs at transverse position +4 outside the twist box; an
         # odd twist box swaps which corner of end A it reaches
         e0 = ("band", i, 0, (a, flip), (b, -1))
         e1 = ("band", i, 1, (a, -flip), (b, 1))
@@ -353,45 +355,37 @@ def boundary_walk(F: BandSurface):
 
 
 class _Strand:
-    """One parallel running the length of a band, at a fixed transverse
-    position u and height z; direction +1 means A toward B."""
+    """One parallel of component comp running the length of a band, at a
+    fixed transverse position u and height z; direction +1 means A toward B."""
 
-    __slots__ = ("band", "u", "z", "direction", "parts", "comp")
+    __slots__ = ("band", "u", "z", "direction", "comp")
 
-    def __init__(self, band: int, u, z: int, direction: int):
+    def __init__(self, band: int, u: int, z: int, direction: int, comp: int):
         self.band = band
         self.u = u
         self.z = z
         self.direction = direction
-        self.parts: list = []
-        self.comp = -1
-
-    def ordered_parts(self):
-        parts = sorted(self.parts, key=lambda p: p[0])
-        return parts if self.direction > 0 else parts[::-1]
+        self.comp = comp
 
 
 class _Chord:
-    """A straight segment across the disk between two attach sites,
-    at height z; traversed start to end."""
+    """A straight segment of component comp across the disk, from one
+    attach site to another, at height z."""
 
-    __slots__ = ("start", "end", "z", "tie", "parts")
+    __slots__ = ("start", "end", "z", "tie", "comp")
 
-    def __init__(self, start: int, end: int, z: int, tie: int):
+    def __init__(self, start: int, end: int, z: int, tie: int, comp: int):
         self.start = start
         self.end = end
         self.z = z
         self.tie = tie
-        self.parts: list = []
-
-    def ordered_parts(self):
-        return sorted(self.parts, key=lambda p: p[0])
+        self.comp = comp
 
 
 @dataclass(frozen=True)
 class CompiledCurves:
-    """The requested curves as a crossing-list diagram of the route-event
-    and disk-chord crossings, plus the twist-box crossings as counts.
+    """The requested curves as signed crossings between components at the
+    route events and on the disk, plus the twist-box crossings as counts.
 
     components maps each request key to its component indices (the double
     pushoff of an even-twisted band closes up into two components);
@@ -472,8 +466,8 @@ def twist_box_counts(directions: Sequence[int], h: int) -> dict[tuple[int, int],
 
 
 def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
-    """Compile the requested curves on F into a crossing-list diagram
-    and the twist-box crossing counts.
+    """Compile the requested curves on F into signed crossings between
+    components and the twist-box crossing counts.
 
     Request keys: "K" (the boundary), "lambda" (boundary pushed off along
     the surface), ("core", i), ("pushoff", i, +1|-1) for even-twisted
@@ -502,50 +496,37 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
 
     strands: list[_Strand] = []
     chords: list[_Chord] = []
-    loops: list[tuple] = []  # (key, [loop, ...]), loop = itinerary entries
-
-    def new_strand(band, u, z, direction):
-        s = _Strand(band, u, z, direction)
-        strands.append(s)
-        return s
-
-    def new_chord(start, end, z, tie):
-        c = _Chord(start, end, z, tie)
-        chords.append(c)
-        return c
+    comp_map: dict = {}
+    n_comp = 0
 
     def check_band(i):
-        if not isinstance(i, int) or not 0 <= i < n:
+        if type(i) is not int or not 0 <= i < n:
             raise ValueError(f"no band {i}")
 
     edge_steps = [st for st in walks[0] if st[0] == "band"]
 
     for key in keys:
+        c = n_comp
+        comps = (c,)
         if key in ("K", "lambda"):
-            mag = 2 if key == "K" else 1
-            entries = []
+            u = 4 if key == "K" else 2
             for _tag, i, e, d in edge_steps:
-                u = mag if e == 0 else -mag
-                entries.append(("s", new_strand(i, u, 0, d), d))
-            loops.append((key, [entries]))
+                strands.append(_Strand(i, u if e == 0 else -u, 0, d, c))
         elif key in ("gamma", "gamma_plus"):
             try:
                 evens = _normal_form_even_bands(F)
             except NormalFormError as exc:
                 raise NormalFormError(f"gamma unavailable: {exc}") from exc
-            u = 0 if key == "gamma" else Fraction(1, 2)
-            entries = []
+            u = 0 if key == "gamma" else 1
             for idx, y in enumerate(evens):
                 nxt = evens[(idx + 1) % len(evens)]
-                entries.append(("s", new_strand(y, u, 0, 1), 1))
-                entries.append(("c", new_chord(pos_b[y], pos_a[nxt], 0, y)))
-            loops.append((key, [entries]))
+                strands.append(_Strand(y, u, 0, 1, c))
+                chords.append(_Chord(pos_b[y], pos_a[nxt], 0, y, c))
         elif isinstance(key, tuple) and len(key) == 2 and key[0] == "core":
             i = key[1]
             check_band(i)
-            s = new_strand(i, 0, 0, 1)
-            c = new_chord(pos_b[i], pos_a[i], 0, i)
-            loops.append((key, [[("s", s, 1), ("c", c)]]))
+            strands.append(_Strand(i, 0, 0, 1, c))
+            chords.append(_Chord(pos_b[i], pos_a[i], 0, i, c))
         elif isinstance(key, tuple) and len(key) == 3 and key[0] == "pushoff":
             i, side = key[1], key[2]
             check_band(i)
@@ -556,50 +537,41 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
                     f"pushoff of band {i} does not close up: odd twist count; "
                     "request the double pushoff ('tau', i) instead"
                 )
-            s = new_strand(i, 0, side, 1)
-            c = new_chord(pos_b[i], pos_a[i], side, i)
-            loops.append((key, [[("s", s, 1), ("c", c)]]))
+            strands.append(_Strand(i, 0, side, 1, c))
+            chords.append(_Chord(pos_b[i], pos_a[i], side, i, c))
         elif isinstance(key, tuple) and len(key) == 2 and key[0] == "tau":
             i = key[1]
             check_band(i)
-            sp = new_strand(i, 0, 1, 1)
-            sm = new_strand(i, 0, -1, 1)
-            cp = new_chord(pos_b[i], pos_a[i], 1, i)
-            cm = new_chord(pos_b[i], pos_a[i], -1, i)
+            # an odd twist box carries the upper pushoff into the lower, so
+            # the two close up as one component
             if F.bands[i].half_twists % 2 == 0:
-                loops.append((key, [[("s", sp, 1), ("c", cp)], [("s", sm, 1), ("c", cm)]]))
-            else:
-                # an odd twist box carries the upper pushoff into the lower
-                loops.append((key, [[("s", sp, 1), ("c", cp), ("s", sm, 1), ("c", cm)]]))
+                comps = (c, c + 1)
+            for z, comp in ((1, c), (-1, comps[-1])):
+                strands.append(_Strand(i, 0, z, 1, comp))
+                chords.append(_Chord(pos_b[i], pos_a[i], z, i, comp))
         else:
             raise ValueError(f"unknown curve request {key!r}")
+        comp_map[key] = comps
+        n_comp += len(comps)
 
-    # geometric bottom-to-top order of the strands on each band
-    rank = {id(s): k for k, s in enumerate(strands)}
+    # geometric bottom-to-top order of the strands on each band; the sort
+    # is stable, so strands at the same place keep their request order
     geo: dict[int, list[_Strand]] = {}
     for s in strands:
         geo.setdefault(s.band, []).append(s)
-    for i in geo:
-        geo[i].sort(key=lambda s: (s.u, s.z, rank[id(s)]))
-
-    crossings: list[list] = []  # [sign, over placement, under placement]
-
-    def new_crossing(sign):
-        crossings.append([sign, None, None])
-        return len(crossings) - 1
+    for group in geo.values():
+        group.sort(key=lambda s: (s.u, s.z))
 
     # route events: every strand of the over band crosses every strand of
     # the under band; a self event crosses the band's strands with themselves
-    for ev_idx, ev in enumerate(F.route):
-        bx, sx = ev.over
-        by, sy = ev.under
-        gx = geo.get(bx, ())
-        gy = geo.get(by, ())
-        for ix, x in enumerate(gx):
-            for iy, y in enumerate(gy):
-                cidx = new_crossing(ev.sign * x.direction * y.direction)
-                x.parts.append(((sx, ev_idx, iy), cidx, "over"))
-                y.parts.append(((sy, ev_idx, ix), cidx, "under"))
+    crossings: list[Crossing] = []
+    for ev in F.route:
+        under_strands = geo.get(ev.under[0], ())
+        for x in geo.get(ev.over[0], ()):
+            sx = ev.sign * x.direction
+            crossings.extend(
+                Crossing(sx * y.direction, x.comp, y.comp) for y in under_strands
+            )
 
     # disk chords: straight segments between convex sites cross iff their
     # site pairs interleave; higher chord over, ties to the lower band index
@@ -620,51 +592,7 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
             d_over = _sub(_point(over.end), _point(over.start))
             d_under = _sub(_point(under.end), _point(under.start))
             det = _det2(d_over, d_under)
-            cidx = new_crossing(1 if det > 0 else -1)
-            p1 = _point(c1.start)
-            p2 = _point(c2.start)
-            d1 = _sub(_point(c1.end), p1)
-            d2 = _sub(_point(c2.end), p2)
-            denom = _det2(d1, d2)
-            gap = _sub(p2, p1)
-            t1 = Fraction(_det2(gap, d2), denom)
-            t2 = Fraction(_det2(gap, d1), denom)
-            role1 = "over" if over is c1 else "under"
-            role2 = "under" if over is c1 else "over"
-            c1.parts.append((t1, cidx, role1))
-            c2.parts.append((t2, cidx, role2))
-
-    # stitch itineraries into components and number the passages
-    comp_lists: list[list] = []
-    comp_map: dict = {}
-    for key, key_loops in loops:
-        idxs = []
-        for loop in key_loops:
-            plist: list = []
-            for entry in loop:
-                piece = entry[1]
-                if entry[0] == "s":
-                    piece.comp = len(comp_lists)
-                plist.extend((cidx, role) for _k, cidx, role in piece.ordered_parts())
-            idxs.append(len(comp_lists))
-            comp_lists.append(plist)
-        comp_map[key] = tuple(idxs)
-
-    components = []
-    for ci, plist in enumerate(comp_lists):
-        ids = []
-        for slot, (cidx, role) in enumerate(plist):
-            rec = crossings[cidx]
-            pos = 1 if role == "over" else 2
-            rec[pos] = (ci, slot)
-            ids.append(cidx)
-        components.append(tuple(ids))
-
-    built = []
-    for cid, (sign, over_at, under_at) in enumerate(crossings):
-        if over_at is None or under_at is None:
-            raise AssertionError("crossing left without both passages")
-        built.append(Crossing(cid, sign, over_at, under_at))
+            crossings.append(Crossing(1 if det > 0 else -1, over.comp, under.comp))
 
     boxes: dict[tuple[int, int], int] = {}
     for i, group in geo.items():
@@ -673,7 +601,7 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
             key = (group[a].comp, group[b].comp)
             boxes[key] = boxes.get(key, 0) + count
     return CompiledCurves(
-        CrossingList(tuple(components), tuple(built)), comp_map, boxes, surface_shape
+        CrossingList(n_comp, tuple(crossings)), comp_map, boxes, surface_shape
     )
 
 

@@ -126,8 +126,9 @@ def _cmd_invariants(args) -> int:
         v = get_preset(args.preset).seifert
     else:
         v = _load_json_arg(args.seifert)
+    samples = _samples(args)
     table = []
-    for omega in _samples(args):
+    for omega in samples:
         s = levine_tristram(v, omega)
         table.append(
             {
@@ -151,7 +152,7 @@ def _cmd_invariants(args) -> int:
         f"arf:         {payload['arf']}",
         "levine-tristram:",
     ]
-    for omega, row in zip(_samples(args), table):
+    for omega, row in zip(samples, table):
         val = "singular" if row["singular"] else str(row["signature"])
         lines.append(f"  {omega.label():<12} {val}")
     _emit(args, payload, "\n".join(lines))

@@ -1,9 +1,11 @@
-"""Abstract crossing-list diagrams of oriented multi-component curves.
+"""Signed crossings between the components of oriented curves.
 
-A diagram is Gauss-code level data: each component is a cyclic sequence of
-passages through signed crossings. Nothing is embedded in the plane and
-planarity is never checked; a linking number is a signed crossing count,
-with a consistency guard that rejects data no classical link could produce.
+A diagram lists its crossings, each with a sign and the components that
+pass over and under it; the order in which a component meets its
+crossings is not kept, because no linking number reads it. Nothing is
+embedded in the plane and planarity is never checked; a linking number is
+a signed crossing count, with a consistency guard that rejects data no
+classical link could produce.
 
 Sign convention: a crossing is +1 when it is right handed, i.e. the under
 strand passes from right to left when viewed along the over strand. This
@@ -19,27 +21,25 @@ class NonclassicalCrossingError(ValueError):
     """Crossing data that cannot come from a classical link diagram."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Crossing:
-    """One crossing: its sign and the two passages (component, slot) through it."""
+    """One crossing: its sign and the components passing over and under it."""
 
-    id: int
     sign: int
-    over: tuple[int, int]
-    under: tuple[int, int]
+    over: int
+    under: int
 
 
 @dataclass(frozen=True)
 class CrossingList:
-    """Components as cyclic passage sequences; components[c][slot] is the
-    id of the crossing traversed at that slot."""
+    """Signed crossings between components numbered 0 .. n_components - 1."""
 
-    components: tuple[tuple[int, ...], ...]
+    n_components: int
     crossings: tuple[Crossing, ...]
 
 
 def _check_component(d: CrossingList, c: int) -> None:
-    if not (0 <= c < len(d.components)):
+    if not (0 <= c < d.n_components):
         raise IndexError(f"component index {c} out of range")
 
 
@@ -50,8 +50,8 @@ def over_counts(d: CrossingList, a: int, b: int) -> tuple[int, int]:
     _check_component(d, b)
     if a == b:
         raise ValueError("linking number needs two distinct components")
-    a_over_b = sum(x.sign for x in d.crossings if x.over[0] == a and x.under[0] == b)
-    b_over_a = sum(x.sign for x in d.crossings if x.over[0] == b and x.under[0] == a)
+    a_over_b = sum(x.sign for x in d.crossings if x.over == a and x.under == b)
+    b_over_a = sum(x.sign for x in d.crossings if x.over == b and x.under == a)
     return a_over_b, b_over_a
 
 

@@ -119,11 +119,6 @@ class SignatureSample:
         if self.singular != (self.value is None):
             raise ValueError("singular samples carry no value")
 
-    def to_json(self) -> dict:
-        out = self.omega.to_json()
-        out["value"] = "singular" if self.singular else self.value
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Alexander polynomial and friends

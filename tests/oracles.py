@@ -4,14 +4,15 @@ Everything here is deliberately computed by a different route than the
 library takes: determinants by cofactor expansion, Arf from a symplectic
 basis of the mod-2 intersection form, twist-box crossings by braiding the
 strands one half twist at a time, and Seifert matrices read brick by
-brick off braid words. ``validate_diagram`` checks the crossing lists the
-curve compiler emits against the invariants any Gauss code must satisfy.
+brick off braid words. ``validate_diagram`` checks that the signed
+crossings between components the curve compiler emits have signs +-1 and
+name components that exist.
 """
 
 from __future__ import annotations
 
 from knotbands import LaurentPoly
-from knotbands.diagram import Crossing, CrossingList
+from knotbands.diagram import CrossingList
 
 
 def _as_poly(entry):
@@ -83,36 +84,12 @@ def arf_symplectic(v) -> int:
 def validate_diagram(d: CrossingList) -> list[str]:
     """All invariant violations of the crossing list; empty means ok."""
     problems: list[str] = []
-    by_id: dict[int, Crossing] = {}
-    for x in d.crossings:
-        if x.id in by_id:
-            problems.append(f"duplicate crossing id {x.id}")
-        by_id[x.id] = x
+    for k, x in enumerate(d.crossings):
         if x.sign not in (1, -1):
-            problems.append(f"crossing {x.id} has sign {x.sign}, expected +1 or -1")
-    seen: dict[tuple[int, int], str] = {}
-    for x in d.crossings:
-        for role, ref in (("over", x.over), ("under", x.under)):
-            c, s = ref
-            if not (0 <= c < len(d.components)) or not (0 <= s < len(d.components[c])):
-                problems.append(f"crossing {x.id} {role} passage {ref} out of range")
-                continue
-            if ref in seen:
-                problems.append(
-                    f"passage {ref} used more than once (crossing {x.id} as {role})"
-                )
-            seen[ref] = role
-            if d.components[c][s] != x.id:
-                problems.append(
-                    f"component {c} slot {s} holds id {d.components[c][s]}, "
-                    f"but crossing {x.id} claims it as {role}"
-                )
-    for c, comp in enumerate(d.components):
-        for s, cid in enumerate(comp):
-            if cid not in by_id:
-                problems.append(f"component {c} slot {s} refers to unknown crossing {cid}")
-            elif (c, s) not in seen:
-                problems.append(f"component {c} slot {s} is claimed by no crossing role")
+            problems.append(f"crossing {k} has sign {x.sign}, expected +1 or -1")
+        for role, c in (("over", x.over), ("under", x.under)):
+            if not 0 <= c < d.n_components:
+                problems.append(f"crossing {k} {role} component {c} out of range")
     return problems
 
 

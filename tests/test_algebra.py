@@ -24,6 +24,13 @@ class TestLaurentPoly:
     def test_constructor_drops_zeros(self):
         assert LaurentPoly({3: 0, 0: 2}) == LaurentPoly({0: 2})
 
+    @pytest.mark.parametrize(
+        "coeffs", [{True: 1}, {1.0: 1}, {0: True}, {0: 2.0}], ids=repr
+    )
+    def test_constructor_rejects_non_integers(self, coeffs):
+        with pytest.raises(ValueError, match="must be integers"):
+            LaurentPoly(coeffs)
+
     def test_to_string_fixtures(self):
         cases = [
             ({}, "0"),
@@ -142,6 +149,14 @@ class TestSmith:
         assert smith_normal_form([[2, 0], [0, 3]]) == ((1, 6), 2)
         assert smith_normal_form([[0, 0], [0, 0]]) == ((), 0)
         assert smith_normal_form([[6, 4], [4, 6]]) == ((2, 10), 2)
+
+    @pytest.mark.parametrize(
+        "rows", [[[2.7, 0], [0, True]], [[2, 0], [0, 1.0]], [[False]]], ids=repr
+    )
+    def test_rejects_non_integers(self, rows):
+        # truncating [[2.7, 0], [0, True]] would give ((1, 2), 2)
+        with pytest.raises(ValueError, match="must be integers"):
+            smith_normal_form(rows)
 
     def test_divisibility_chain(self):
         factors, rank = smith_normal_form([[12, 6, 4], [6, 8, 2], [4, 2, 16]])

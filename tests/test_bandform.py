@@ -215,6 +215,12 @@ class TestCompile:
         with pytest.raises(ValueError, match="no band"):
             compile_curves(mob, [("core", 3)])
 
+    @pytest.mark.parametrize("key", [("core", True), ("tau", False), ("pushoff", True, 1)])
+    def test_boolean_band_index_rejected(self, key):
+        # True == 1 names band 1 of the piece, but a boolean is not an index
+        with pytest.raises(ValueError, match="no band"):
+            compile_curves(klein_piece(), [key])
+
 
 class TestSeifert:
     def test_preset_matrices(self):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from knotbands import BandSurface, bandform, framing
+from knotbands import BandSurface, bandform, cli, framing
 from knotbands.cli import run
 
 TREFOIL_CORE_JSON = "[[0,3,1],[4,1,1],[2,5,1]]"
@@ -69,6 +69,24 @@ class TestInvariants:
         path.write_text("[[-1,1],[0,1]]")
         code, data = call_json(capsys, "invariants", "--seifert", str(path))
         assert code == 0 and data["determinant"] == 5
+
+    def test_samples_file_is_parsed_once(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "samples.json"
+        path.write_text('[{"omega":-1},{"s":"1/2"}]')
+        loaded = []
+        original = cli._load_json_arg
+
+        def counted(text):
+            loaded.append(text)
+            return original(text)
+
+        monkeypatch.setattr(cli, "_load_json_arg", counted)
+        code, out, _ = call(
+            capsys, "--format", "text", "invariants", "--preset", "trefoil",
+            "--samples", str(path),
+        )
+        assert code == 0 and "s=1/2" in out
+        assert loaded == [str(path)]
 
 
 class TestBand:

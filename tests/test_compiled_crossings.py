@@ -1,0 +1,115 @@
+"""Pinned output of the curve compiler.
+
+Each case compiles one surface with one request list and digests what a
+linking number reads: the multiset of (sign, over component, under
+component) crossings, the request-key-to-components map and the
+twist-box table. The digests in ``data/compiled_crossings.json`` were
+recorded while the compiler still built a full Gauss code, so they pin
+that dropping the passage order kept every crossing. Re-record with
+``PYTHONPATH=src python tests/test_compiled_crossings.py`` only in a
+change meant to alter what the compiler emits.
+"""
+
+import hashlib
+import json
+import random
+from collections import Counter
+from pathlib import Path
+
+from knotbands.bandform import compile_curves, klein_bottle_for_cables
+from knotbands.obstruct import random_band_surface, random_normal_form
+from knotbands.presets import get_preset, preset_names
+
+DATA = Path(__file__).parent / "data" / "compiled_crossings.json"
+
+CABLE_PS = (2001, -2001, -7, 1, -1, 3, 401)
+CABLE_CORES = (("trefoil", "t25"), ("unknot", "trefoil"), ("t25", "unknot"))
+
+
+def _triple(x):
+    return (x.sign, x.over, x.under)
+
+
+def _request_lists(F, normal_form):
+    """The library's own request lists, plus every kind at once."""
+    n = F.n_bands
+    cores = [("core", i) for i in range(n)]
+    taus = [("tau", i) for i in range(n)]
+    even = [i for i in range(n) if F.bands[i].half_twists % 2 == 0]
+    pushoffs = [("pushoff", i, s) for i in even for s in (1, -1)]
+    lists = {
+        "boundary": ["K", "lambda"],
+        "gl": cores + taus,
+        "all": ["K", "lambda"] + cores + taus + pushoffs,
+    }
+    if F.orientable:
+        lists["seifert"] = [("pushoff", i, 1) for i in range(n)] + cores
+    if normal_form:
+        lists["gamma"] = ["gamma", "gamma_plus"]
+        lists["all"] += ["gamma", "gamma_plus"]
+    return lists
+
+
+def _surfaces():
+    for seed in range(30):
+        size = {} if seed < 20 else {"max_bands": 12, "max_events": 40}
+        for orientable in (False, True):
+            F = random_band_surface(random.Random(seed), orientable=orientable, **size)
+            yield f"random_band_surface seed={seed} orientable={orientable}", F, False
+    for seed in range(12):
+        F = random_normal_form(random.Random(seed), force_zero_framing=seed % 2 == 0)
+        yield f"random_normal_form seed={seed}", F, True
+    for k, j in CABLE_CORES:
+        core_k = get_preset(k).core_route
+        core_j = get_preset(j).core_route
+        for p in CABLE_PS:
+            F = klein_bottle_for_cables(core_k, core_j, p)
+            yield f"klein_bottle_for_cables {k} {j} p={p}", F, False
+    for name in preset_names():
+        pk = get_preset(name)
+        yield f"preset {name} orientable", pk.orientable_surface, False
+        yield f"preset {name} nonorientable", pk.nonorientable_surface, False
+
+
+def digest(cc) -> str:
+    crossings = Counter(_triple(x) for x in cc.diagram.crossings)
+    data = {
+        "crossings": sorted([*k, v] for k, v in crossings.items()),
+        "components": sorted([repr(k), list(v)] for k, v in cc.components.items()),
+        "twist_boxes": sorted([a, b, v] for (a, b), v in cc.twist_boxes.items()),
+    }
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def compute_digests() -> dict[str, str]:
+    out = {}
+    for label, F, normal_form in _surfaces():
+        for kind, keys in _request_lists(F, normal_form).items():
+            out[f"{label} requests={kind}"] = digest(compile_curves(F, keys))
+    return out
+
+
+def test_compiled_crossings_match_pinned_digests():
+    pinned = json.loads(DATA.read_text())
+    got = compute_digests()
+    assert sorted(got) == sorted(pinned)
+    assert [case for case in pinned if got[case] != pinned[case]] == []
+
+
+def test_cases_cover_every_request_kind():
+    kinds = set()
+    for _label, F, normal_form in _surfaces():
+        for keys in _request_lists(F, normal_form).values():
+            for key in keys:
+                if key[0] == "tau":
+                    kinds.add(("tau", F.bands[key[1]].half_twists % 2))
+                else:
+                    kinds.add(key if isinstance(key, str) else key[0])
+    assert kinds == {
+        "K", "lambda", "core", "pushoff", "gamma", "gamma_plus", ("tau", 0), ("tau", 1)
+    }
+
+
+if __name__ == "__main__":
+    DATA.write_text(json.dumps(compute_digests(), indent=1, sort_keys=True) + "\n")

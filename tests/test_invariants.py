@@ -107,16 +107,6 @@ class TestSignatureSample:
         with pytest.raises(ValueError, match="singular samples carry no value"):
             SignatureSample(Omega.minus_one(), -2, True)
 
-    def test_to_json(self):
-        assert SignatureSample(Omega.minus_one(), -2, False).to_json() == {
-            "omega": -1,
-            "value": -2,
-        }
-        assert SignatureSample(Omega.from_s(Fraction(1, 2)), None, True).to_json() == {
-            "s": "1/2",
-            "value": "singular",
-        }
-
 
 class TestAlexander:
     def test_fixtures(self):
