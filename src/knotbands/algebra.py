@@ -46,10 +46,6 @@ class LaurentPoly:
         return cls({exp: coeff})
 
     @property
-    def coefficients(self) -> dict[int, int]:
-        return dict(self._c)
-
-    @property
     def is_zero(self) -> bool:
         return not self._c
 
@@ -64,9 +60,6 @@ class LaurentPoly:
         if not self._c:
             raise ValueError("zero polynomial has no degree")
         return max(self._c)
-
-    def __getitem__(self, exp: int) -> int:
-        return self._c.get(exp, 0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

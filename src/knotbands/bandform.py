@@ -670,17 +670,10 @@ def analyze_surface(F: BandSurface) -> SurfaceAnalysis:
     )
 
 
-@dataclass(frozen=True)
-class GammaCurve:
+def gamma_self_linking(F: BandSurface) -> int:
     """The linking number of the curve through the 2-sided cores of a
     normal-form surface with its in-surface parallel."""
-
-    self_linking: int
-
-
-def gamma_curve(F: BandSurface) -> GammaCurve:
-    c = compile_curves(F, ("gamma", "gamma_plus"))
-    return GammaCurve(c.linking("gamma", "gamma_plus"))
+    return compile_curves(F, ("gamma", "gamma_plus")).linking("gamma", "gamma_plus")
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +736,7 @@ def surgery_shape(s: SurfaceShape, result_orientable: bool) -> SurfaceShape:
 def mobius_band(core, p: int) -> BandSurface:
     """One band riding the given knot route; boundary is the (2,p) cable
     of the core, framing 2p."""
-    if p % 2 == 0:
+    if _int(p, "p") % 2 == 0:
         raise ValueError("p must be odd")
     events = core_route(core)
     w = sum(ev.sign for ev in events)

@@ -20,7 +20,7 @@ from .bandform import (
     NormalFormError,
     analyze_surface,
     core_route,
-    gamma_curve,
+    gamma_self_linking,
     klein_bottle_for_cables,
     mobius_band,
 )
@@ -168,7 +168,7 @@ def _cmd_band(args) -> int:
     surface = analyze_surface(F)
     sh, f, G = surface.shape, surface.framing, surface.gl_form
     try:
-        sl = gamma_curve(F).self_linking
+        sl = gamma_self_linking(F)
     except NormalFormError:
         sl = None
     payload = {

@@ -1,17 +1,17 @@
 """Concordance invariants from Seifert and Gordon-Litherland matrices.
 
-Everything is exact: Levine-Tristram signatures are sampled only at
-rational points of the unit circle (the Pythagorean parametrization
-cos = (1-s^2)/(1+s^2), sin = 2s/(1+s^2), plus the point -1), where the
-Hermitian form has rational entries and its signature is computable by
-congruence diagonalization with no rounding anywhere.
+Everything is exact. A Levine-Tristram sample point is named by one
+rational s != 0, standing for omega = (1 + i s)/(1 - i s), or by
+s = None for omega = -1; these are all the rational points of the unit
+circle except 1. At such a point the Hermitian form of V is a positive
+multiple of an integer one, so its signature comes from congruence
+diagonalization of an integer matrix with no rounding anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .algebra import (
     LaurentPoly,
@@ -42,57 +42,56 @@ def _as_matrix(rows) -> Matrix:
 
 @dataclass(frozen=True)
 class Omega:
-    """A rational point cos + i sin on the unit circle, omega != 1."""
+    """The point omega = (1 + i s)/(1 - i s) of the unit circle for a
+    nonzero rational s; s = None is omega = -1."""
 
-    cos: Fraction
-    sin: Fraction
+    s: Fraction | None
 
     def __post_init__(self):
-        if self.cos * self.cos + self.sin * self.sin != 1:
-            raise ValueError("omega must lie on the unit circle")
-        if self.cos == 1 and self.sin == 0:
+        if self.s is not None and not isinstance(self.s, Fraction):
+            raise ValueError(f"s must be a Fraction or None, got {self.s!r}")
+        if self.s == 0:
             raise ValueError("omega = 1 is excluded")
 
     @staticmethod
     def from_s(s) -> "Omega":
-        s = Fraction(s)
-        den = 1 + s * s
-        return Omega((1 - s * s) / den, 2 * s / den)
+        return Omega(Fraction(s))
 
     @staticmethod
     def minus_one() -> "Omega":
-        return Omega(Fraction(-1), Fraction(0))
+        return Omega(None)
 
     def squared(self) -> "Omega | None":
-        """omega^2 by the double-angle identities; None when omega^2 = 1."""
-        c2 = self.cos * self.cos - self.sin * self.sin
-        s2 = 2 * self.cos * self.sin
-        if c2 == 1 and s2 == 0:
+        """omega^2 by the double-angle formula s -> 2s/(1-s^2); None when
+        omega^2 = 1."""
+        if self.s is None:
             return None
-        return Omega(c2, s2)
-
-    def s_param(self) -> Fraction | None:
-        """The s with omega = ((1-s^2) + 2si)/(1+s^2); None only at -1."""
-        if self.cos == -1:
-            return None
-        return self.sin / (1 + self.cos)
+        if self.s * self.s == 1:
+            return Omega.minus_one()
+        return Omega(2 * self.s / (1 - self.s * self.s))
 
     def label(self) -> str:
-        s = self.s_param()
-        return "omega=-1" if s is None else f"s={s}"
+        return "omega=-1" if self.s is None else f"s={self.s}"
 
     def to_json(self) -> dict:
-        s = self.s_param()
-        return {"omega": -1} if s is None else {"s": str(s)}
+        return {"omega": -1} if self.s is None else {"s": str(self.s)}
 
     @staticmethod
     def from_json(data: dict) -> "Omega":
+        if not isinstance(data, dict):
+            raise ValueError(f"sample point must be a JSON object, got {data!r}")
         if "omega" in data:
-            if data["omega"] != -1:
+            # -1.0 and true are rejected like every other non-integer
+            if type(data["omega"]) is not int or data["omega"] != -1:
                 raise ValueError("only omega = -1 is addressable directly; use s")
             return Omega.minus_one()
         if "s" in data:
-            return Omega.from_s(Fraction(str(data["s"])))
+            try:
+                return Omega.from_s(Fraction(str(data["s"])))
+            except ZeroDivisionError:  # "1/0"
+                raise ValueError(
+                    f"s must be a rational number, got {data['s']!r}"
+                ) from None
         raise ValueError("sample point needs an 'omega' or 's' field")
 
 
@@ -113,11 +112,10 @@ class SignatureSample:
 
     omega: Omega
     value: int | None
-    singular: bool
 
-    def __post_init__(self):
-        if self.singular != (self.value is None):
-            raise ValueError("singular samples carry no value")
+    @property
+    def singular(self) -> bool:
+        return self.value is None
 
 
 # ---------------------------------------------------------------------------
@@ -175,32 +173,30 @@ def signature(seifert) -> int:
 def levine_tristram(seifert, omega: Omega) -> SignatureSample:
     """Signature of (1-omega)V + (1-conj(omega))V^T, exactly.
 
-    The Hermitian matrix H = (1-c)(V+V^T) + i s (V^T-V) has the real
-    symmetric realification [[Re, -Im], [Im, Re]] with twice its
-    signature, so one rational congruence diagonalization decides both
-    the value and singularity.
+    For s = p/q that Hermitian form is 2s^2/(1+s^2)/|p| > 0 times
+    a S + i b A with S = V+V^T, A = V^T-V, a = |p| and b = sign(p) q; at
+    omega = -1 it is 2S, so (a, b) = (1, 0). The integer symmetric
+    realification [[aS, -bA], [bA, aS]] has twice the signature of
+    a S + i b A, so one congruence diagonalization decides both the
+    value and singularity.
     """
     V = _as_matrix(seifert)
     n = len(V)
-    c, s = omega.cos, omega.sin
-    re = [[(1 - c) * (V[i][j] + V[j][i]) for j in range(n)] for i in range(n)]
-    im = [[s * (V[j][i] - V[i][j]) for j in range(n)] for i in range(n)]
-    big = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    if omega.s is None:
+        a, b = 1, 0
+    else:
+        p, q = omega.s.numerator, omega.s.denominator
+        a, b = abs(p), q if p > 0 else -q
+    big = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):
-            big[i][j] = re[i][j]
-            big[i][n + j] = -im[i][j]
-            big[n + i][j] = im[i][j]
-            big[n + i][n + j] = re[i][j]
+            re = a * (V[i][j] + V[j][i])
+            im = b * (V[j][i] - V[i][j])
+            big[i][j] = big[n + i][n + j] = re
+            big[i][n + j] = -im
+            big[n + i][j] = im
     pos, neg, zero = inertia(big)
-    if zero:
-        return SignatureSample(omega, None, True)
-    return SignatureSample(omega, (pos - neg) // 2, False)
-
-
-def sigma_function(seifert) -> Callable[[Omega], SignatureSample]:
-    V = _as_matrix(seifert)
-    return lambda omega: levine_tristram(V, omega)
+    return SignatureSample(omega, None if zero else (pos - neg) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -225,21 +221,15 @@ def alexander_cable2(delta_k: LaurentPoly, p: int) -> LaurentPoly:
     return _normalize_alexander(torus2_alexander(p) * delta_k.substitute(2))
 
 
-def sigma_satellite(
-    sigma_r: Callable[[Omega], SignatureSample],
-    sigma_j: Callable[[Omega], SignatureSample],
-) -> Callable[[Omega], SignatureSample]:
-    """Pointwise omega -> sigma_R(omega) + sigma_J(omega^2); singular when
-    either side is singular or omega^2 = 1."""
-
-    def combined(omega: Omega) -> SignatureSample:
-        squared = omega.squared()
-        if squared is None:
-            return SignatureSample(omega, None, True)
-        r = sigma_r(omega)
-        j = sigma_j(squared)
-        if r.singular or j.singular:
-            return SignatureSample(omega, None, True)
-        return SignatureSample(omega, r.value + j.value, False)
-
-    return combined
+def sigma_satellite(v_r, v_j, omega: Omega) -> SignatureSample:
+    """sigma_R(omega) + sigma_J(omega^2); singular when either side is
+    singular or omega^2 = 1. Both matrices are checked even then."""
+    v_r, v_j = _as_matrix(v_r), _as_matrix(v_j)
+    squared = omega.squared()
+    if squared is None:
+        return SignatureSample(omega, None)
+    r = levine_tristram(v_r, omega)
+    j = levine_tristram(v_j, squared)
+    if r.singular or j.singular:
+        return SignatureSample(omega, None)
+    return SignatureSample(omega, r.value + j.value)

@@ -29,7 +29,7 @@ from .bandform import (
     core_route,
     core_writhe,
     framing,
-    gamma_curve,
+    gamma_self_linking,
     gl_form,
     interleave_data,
     klein_bottle_for_cables,
@@ -45,13 +45,13 @@ from .invariants import (
     DEFAULT_SAMPLES,
     Omega,
     SignatureSample,
+    _as_matrix,
     alexander,
     alexander_cable2,
     alexander_satellite,
     arf,
     determinant_knot,
     levine_tristram,
-    sigma_function,
     sigma_satellite,
     signature,
 )
@@ -178,15 +178,14 @@ def sigma_squared_check(
 ) -> ObstructionReport:
     """sigma_K(omega) = sigma_J(omega^2) at each sample, skipped where
     either side is singular; omega^2 = 1 counts as singular on both."""
-    sigma_k = sigma_function(v_k)
-    sigma_j = sigma_function(v_j)
+    v_k, v_j = _as_matrix(v_k), _as_matrix(v_j)
     tests = []
     for omega in DEFAULT_SAMPLES if samples is None else samples:
         squared = omega.squared()
         if squared is None:
-            sk = sj = SignatureSample(omega, None, True)
+            sk = sj = SignatureSample(omega, None)
         else:
-            sk, sj = sigma_k(omega), sigma_j(squared)
+            sk, sj = levine_tristram(v_k, omega), levine_tristram(v_j, squared)
         tests.append(
             _sigma_leg(
                 f"sigma-squared {omega.label()}",
@@ -590,7 +589,7 @@ def _prop_gamma_law(t: _Tally, rng: random.Random, trials: int) -> None:
     for i in range(trials):
         F = random_normal_form(rng, force_zero_framing=(i % 3 == 0))
         f = framing(F)
-        sl = gamma_curve(F).self_linking
+        sl = gamma_self_linking(F)
         t.check(f == 4 * sl, f"framing {f} != 4*{sl}")
         t.check((f == 0) == (sl == 0), "zero framing iff zero self-linking")
 
@@ -670,9 +669,8 @@ def _prop_satellite(t: _Tally, rng: random.Random, trials: int) -> None:
                 f"{rn},{jn} det at -1",
             )
             t.check(arf(sat) == arf(dr), f"{rn},{jn} arf preserved")
-            f = sigma_satellite(sigma_function(v_r), sigma_function(v_j))
             for omega in DEFAULT_SAMPLES:
-                got = f(omega)
+                got = sigma_satellite(v_r, v_j, omega)
                 squared = omega.squared()
                 if squared is None:
                     t.check(got.singular, "omega^2=1 must be singular")

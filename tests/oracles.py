@@ -3,15 +3,18 @@
 Everything here is deliberately computed by a different route than the
 library takes: determinants by cofactor expansion, Arf from a symplectic
 basis of the mod-2 intersection form, twist-box crossings by braiding the
-strands one half twist at a time, and Seifert matrices read brick by
-brick off braid words. ``validate_diagram`` checks that the signed
-crossings between components the curve compiler emits have signs +-1 and
-name components that exist.
+strands one half twist at a time, Seifert matrices read brick by brick
+off braid words, and Levine-Tristram signatures from the rational cos/sin
+coordinates of the sample point. ``validate_diagram`` checks that the
+signed crossings between components the curve compiler emits have signs
++-1 and name components that exist.
 """
 
 from __future__ import annotations
 
-from knotbands import LaurentPoly
+from fractions import Fraction
+
+from knotbands import LaurentPoly, inertia
 from knotbands.diagram import CrossingList
 
 
@@ -79,6 +82,32 @@ def arf_symplectic(v) -> int:
             rest.append(w)
         vecs = rest
     return arf
+
+
+def omega_trig(s) -> tuple[Fraction, Fraction]:
+    """(cos, sin) of the sample point named by s: the Pythagorean point
+    ((1-s^2)/(1+s^2), 2s/(1+s^2)), or (-1, 0) for s = None."""
+    if s is None:
+        return Fraction(-1), Fraction(0)
+    den = 1 + s * s
+    return (1 - s * s) / den, 2 * s / den
+
+
+def levine_tristram_trig(v, cos, sin) -> int | None:
+    """Signature of (1-omega)V + (1-conj(omega))V^T at omega = cos + i sin,
+    None when that form is singular.
+
+    The form is Re + i Im with Re = (1-cos)(V+V^T) and Im = sin(V^T-V);
+    its rational realification [[Re, -Im], [Im, Re]] has twice its
+    signature.
+    """
+    n = len(v)
+    re = [[(1 - cos) * (v[i][j] + v[j][i]) for j in range(n)] for i in range(n)]
+    im = [[sin * (v[j][i] - v[i][j]) for j in range(n)] for i in range(n)]
+    big = [r + [-x for x in m] for r, m in zip(re, im)]
+    big += [m + r for r, m in zip(re, im)]
+    pos, neg, zero = inertia(big)
+    return None if zero else (pos - neg) // 2
 
 
 def validate_diagram(d: CrossingList) -> list[str]:

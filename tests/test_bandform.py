@@ -19,7 +19,7 @@ from knotbands.bandform import (
     core_route,
     core_writhe,
     framing,
-    gamma_curve,
+    gamma_self_linking,
     gl_form,
     interleave_data,
     klein_bottle_for_cables,
@@ -331,22 +331,21 @@ class TestAnalyzeSurface:
 class TestGamma:
     def test_framing_is_four_times_self_linking(self):
         F = get_preset("figure-eight").nonorientable_surface
-        g = gamma_curve(F)
-        assert g.self_linking == 1
+        assert gamma_self_linking(F) == 1
         assert framing(F) == 4
 
     def test_zero_framed_bottle(self):
         F = klein_piece()
         assert framing(F) == 0
-        assert gamma_curve(F).self_linking == 0
+        assert gamma_self_linking(F) == 0
 
     def test_rejects_non_normal_forms(self):
         with pytest.raises(NormalFormError, match="positive even number"):
-            gamma_curve(mobius(1))
+            gamma_self_linking(mobius(1))
         with pytest.raises(NormalFormError, match="exactly one odd-twisted band"):
-            gamma_curve(two_bands(0, 2, True, [((1, 0), (0, 0), 1)]))
+            gamma_self_linking(two_bands(0, 2, True, [((1, 0), (0, 0), 1)]))
         with pytest.raises(NormalFormError, match="must attach bands"):
-            gamma_curve(
+            gamma_self_linking(
                 BandSurface.build(
                     [1, 0],
                     [(0, "A"), (1, "B"), (0, "B"), (1, "A")],
@@ -359,7 +358,7 @@ class TestGamma:
     def test_law_on_random_normal_forms(self, seed, force_zero):
         F = random_normal_form(random.Random(seed), force_zero_framing=force_zero)
         f = framing(F)
-        sl = gamma_curve(F).self_linking
+        sl = gamma_self_linking(F)
         assert f == 4 * sl
         assert (f == 0) == (sl == 0)
 
@@ -434,6 +433,14 @@ class TestMobiusAndKlein:
     def test_mobius_band_rejects_even(self):
         with pytest.raises(ValueError, match="p must be odd"):
             mobius_band(TREFOIL_CORE, 2)
+
+    @pytest.mark.parametrize("p", [3.0, True, "3", None])
+    def test_builders_reject_non_integer_p(self, p):
+        # a float or bool p used to be taken as a twist count
+        with pytest.raises(ValueError, match="p must be an integer"):
+            mobius_band(TREFOIL_CORE, p)
+        with pytest.raises(ValueError, match="p must be an integer"):
+            klein_bottle_for_cables((), (), p)
 
     def test_klein_bottle_for_cables(self):
         for p in (-3, -1, 1, 3):

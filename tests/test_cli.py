@@ -346,6 +346,29 @@ class TestRejectsNonIntegers:
         assert code == 0 and data["framing"] == 2
 
 
+class TestMalformedSamples:
+    """Each --samples entry must be an object naming omega = -1 by the
+    integer -1 or a nonzero rational s; anything else is one error line."""
+
+    @pytest.mark.parametrize(
+        "samples", ['[{"omega":-1.0}]', '[{"s":"1/0"}]', "[1]"],
+        ids=["float-omega", "zero-denominator", "non-object"],
+    )
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ("invariants", "--preset", "trefoil"),
+            ("obstruct-cable", "--presetK", "trefoil", "--presetJ", "unknot", "-p", "3"),
+        ],
+        ids=["invariants", "obstruct-cable"],
+    )
+    def test_exit_1(self, capsys, verb, samples):
+        code, out, err = call(capsys, *verb, "--samples", samples)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestProcessSmoke:
     def test_module_invocation(self):
         proc = subprocess.run(

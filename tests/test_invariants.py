@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotbands.algebra import LaurentPoly
+import oracles
+from knotbands import invariants
+from knotbands.algebra import LaurentPoly, inertia
 from knotbands.invariants import (
     DEFAULT_SAMPLES,
     Omega,
-    SignatureSample,
     alexander,
     alexander_cable2,
     alexander_satellite,
     arf,
     determinant_knot,
     levine_tristram,
-    sigma_function,
     sigma_satellite,
     signature,
     torus2_alexander,
@@ -48,23 +48,31 @@ seifert_presets = st.sampled_from([TREFOIL, FIGURE_EIGHT, T25])
 
 class TestOmega:
     def test_constructor_contracts(self):
-        with pytest.raises(ValueError, match="unit circle"):
-            Omega(Fraction(1, 2), Fraction(1, 2))
         with pytest.raises(ValueError, match="omega = 1 is excluded"):
-            Omega(Fraction(1), Fraction(0))
+            Omega(Fraction(0))
+
+    @pytest.mark.parametrize("s", [2, 0.5, True, "1/2"])
+    def test_rejects_s_that_is_not_a_fraction(self, s):
+        # Omega(2).squared() would otherwise compute with an int or float
+        with pytest.raises(ValueError, match="s must be a Fraction or None"):
+            Omega(s)
 
     def test_from_s(self):
-        assert Omega.from_s(Fraction(1, 2)) == Omega(Fraction(3, 5), Fraction(4, 5))
-        assert Omega.from_s(1) == Omega(Fraction(0), Fraction(1))
-        assert Omega.from_s(Fraction(1, 3)).s_param() == Fraction(1, 3)
+        assert Omega.from_s(Fraction(1, 2)).s == Fraction(1, 2)
+        assert oracles.omega_trig(Fraction(1, 2)) == (Fraction(3, 5), Fraction(4, 5))
+        assert Omega.from_s(1) == Omega(Fraction(1))
+        assert Omega.minus_one().s is None
         with pytest.raises(ValueError, match="omega = 1 is excluded"):
             Omega.from_s(0)  # s = 0 lands on the excluded point
 
     def test_squared(self):
         assert Omega.minus_one().squared() is None
         assert Omega.from_s(1).squared() == Omega.minus_one()
+        assert Omega.from_s(-1).squared() == Omega.minus_one()
+        # (3/5 + 4/5 i)^2 = -7/25 + 24/25 i, whose s is 24/25 / (1 - 7/25)
         w = Omega.from_s(Fraction(1, 2))
-        assert w.squared() == Omega(Fraction(-7, 25), Fraction(24, 25))
+        assert w.squared() == Omega(Fraction(4, 3))
+        assert oracles.omega_trig(Fraction(4, 3)) == (Fraction(-7, 25), Fraction(24, 25))
 
     def test_labels(self):
         assert Omega.minus_one().label() == "omega=-1"
@@ -77,10 +85,18 @@ class TestOmega:
         assert Omega.from_json({"s": "1/2"}) == Omega.from_s(Fraction(1, 2))
 
     def test_json_errors(self):
-        with pytest.raises(ValueError, match="only omega = -1"):
-            Omega.from_json({"omega": 2})
-        with pytest.raises(ValueError, match="'omega' or 's'"):
-            Omega.from_json({})
+        for data, message in [
+            ({"omega": 2}, "only omega = -1"),
+            ({"omega": -1.0}, "only omega = -1"),
+            ({"omega": True}, "only omega = -1"),
+            ({}, "'omega' or 's'"),
+            ({"s": "1/0"}, "s must be a rational number"),
+            ({"s": "abc"}, "Invalid literal"),
+            ([1], "must be a JSON object"),
+            (1, "must be a JSON object"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                Omega.from_json(data)
 
     def test_default_samples(self):
         assert [w.label() for w in DEFAULT_SAMPLES] == [
@@ -95,17 +111,10 @@ class TestOmega:
     )
     def test_from_s_parametrization(self, s):
         w = Omega.from_s(s)
-        assert w.cos ** 2 + w.sin ** 2 == 1
-        assert w.s_param() == s
+        cos, sin = oracles.omega_trig(w.s)
+        assert cos ** 2 + sin ** 2 == 1
+        assert sin / (1 + cos) == s
         assert Omega.from_json(w.to_json()) == w
-
-
-class TestSignatureSample:
-    def test_value_singular_coupling(self):
-        with pytest.raises(ValueError, match="singular samples carry no value"):
-            SignatureSample(Omega.minus_one(), None, False)
-        with pytest.raises(ValueError, match="singular samples carry no value"):
-            SignatureSample(Omega.minus_one(), -2, True)
 
 
 class TestAlexander:
@@ -187,9 +196,18 @@ class TestLevineTristram:
         sample = levine_tristram(UNKNOT, Omega.from_s(Fraction(1, 7)))
         assert (sample.value, sample.singular) == (0, False)
 
-    def test_sigma_function_wraps(self):
-        f = sigma_function(TREFOIL)
-        assert f(Omega.minus_one()).value == -2
+    def test_inertia_gets_an_integer_matrix(self, monkeypatch):
+        seen = []
+
+        def spy(rows):
+            seen.append(rows)
+            return inertia(rows)
+
+        monkeypatch.setattr(invariants, "inertia", spy)
+        for w in DEFAULT_SAMPLES + (Omega(Fraction(-7, 3)),):
+            levine_tristram(TREFOIL, w)
+        assert len(seen) == 7
+        assert all(type(x) is int for rows in seen for row in rows for x in row)
 
     @settings(max_examples=30, deadline=None)
     @given(seifert_presets, st.integers(0, 10 ** 6), st.sampled_from(DEFAULT_SAMPLES))
@@ -227,7 +245,6 @@ class TestTorusAndCables:
         assert alexander_satellite(LaurentPoly.one(), d_tref) == d_tref.substitute(2)
 
     def test_sigma_satellite_pointwise(self):
-        combined = sigma_satellite(sigma_function(TREFOIL), sigma_function(TREFOIL))
         expected = {
             "omega=-1": None,
             "s=1/2": -2,
@@ -237,9 +254,17 @@ class TestTorusAndCables:
             "s=3/5": -4,
         }
         for w in DEFAULT_SAMPLES:
-            sample = combined(w)
+            sample = sigma_satellite(TREFOIL, TREFOIL, w)
+            assert sample.omega == w
             assert sample.value == expected[w.label()]
-            assert sample.singular == (sample.value is None)
+
+    def test_sigma_satellite_checks_matrices_when_skipping(self):
+        # omega = -1 squares to 1 and is skipped, yet a malformed matrix
+        # on either side is still rejected
+        with pytest.raises(ValueError, match="matrix must be square"):
+            sigma_satellite(((1, 0),), TREFOIL, Omega.minus_one())
+        with pytest.raises(ValueError, match="must be integers"):
+            sigma_satellite(TREFOIL, ((1.0,),), Omega.minus_one())
 
 
 class TestDeterminantAndArf:

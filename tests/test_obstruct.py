@@ -244,6 +244,13 @@ class TestSigmaSquared:
         assert all(t.status == "skipped-singular" for t in rep.tests)
         assert rep.tests[1].details == "sigma_K = 0, sigma_J(omega^2) = None"
 
+    def test_malformed_matrix_rejected_when_every_sample_skips(self):
+        only_minus_one = [Omega.minus_one()]
+        with pytest.raises(ValueError, match="matrix must be square"):
+            sigma_squared_check(((1, 0),), TREFOIL, samples=only_minus_one)
+        with pytest.raises(ValueError, match="must be integers"):
+            sigma_squared_check(TREFOIL, ((1.0,),), samples=only_minus_one)
+
     def test_square_root_of_one_is_skipped(self):
         assert sigma_squared_check(UNKNOT, UNKNOT).to_json()["tests"][0] == {
             "name": "sigma-squared omega=-1",

@@ -7,16 +7,22 @@ consistency round trip, pins both sides at once.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from knotbands.bandform import seifert_matrix
 from knotbands.invariants import (
+    DEFAULT_SAMPLES,
+    Omega,
     alexander,
     alexander_cable2,
     arf,
     determinant_knot,
+    levine_tristram,
     signature,
 )
 from knotbands.obstruct import random_band_surface, sigma_squared_check
@@ -139,3 +145,64 @@ class TestArfOracle:
             hits += 1
             assert oracles.arf_symplectic(v) == arf(v)
         assert hits >= 30  # the sweep must actually exercise the oracle
+
+
+def _random_knot_word(rng: random.Random) -> list[int]:
+    """A braid word on 2-4 strands whose closure is a knot and whose
+    Seifert matrix has rank at most 4."""
+    while True:
+        n = rng.randint(2, 4)
+        length = rng.randint(n, n + 3)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)]
+        if sorted({abs(c) for c in word}) == list(range(1, n)) and (
+            oracles.braid_closure_components(word) == 1
+        ):
+            return word
+
+
+def _random_matrix(rng: random.Random) -> list[list[int]]:
+    """A random 1-4 square integer matrix; every third one has a zero
+    first row and column, so every Hermitian form of it is singular."""
+    n = rng.randint(1, 4)
+    m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 1 / 3:
+        for k in range(n):
+            m[0][k] = m[k][0] = 0
+    return m
+
+
+def _random_s(rng: random.Random) -> Fraction:
+    return rng.choice((1, -1)) * Fraction(rng.randint(1, 12), rng.randint(1, 12))
+
+
+class TestLevineTristramOracle:
+    """The integer-block Levine-Tristram signature against the rational
+    cos/sin realification it replaced."""
+
+    def test_agrees_on_braid_and_random_matrices(self):
+        rng = random.Random(0)
+        matrices = [oracles.seifert_from_braid(_random_knot_word(rng)) for _ in range(150)]
+        matrices += [_random_matrix(rng) for _ in range(162)]
+        compared = singular = 0
+        for v in matrices:
+            points = list(DEFAULT_SAMPLES) + [Omega(Fraction(1)), Omega(Fraction(-1))]
+            points += [Omega(_random_s(rng)) for _ in range(6)]
+            for w in points:
+                got = levine_tristram(v, w)
+                want = oracles.levine_tristram_trig(v, *oracles.omega_trig(w.s))
+                assert (got.value, got.singular) == (want, want is None), (v, w)
+                compared += 1
+                singular += got.singular
+        assert compared >= 300 * 14
+        assert singular > 0
+
+    @settings(max_examples=100)
+    @given(
+        st.fractions(min_value=Fraction(-50), max_value=Fraction(50)).filter(
+            lambda s: s != 0
+        )
+    )
+    def test_squared_is_the_double_angle(self, s):
+        cos, sin = oracles.omega_trig(s)
+        squared = Omega(s).squared()
+        assert oracles.omega_trig(squared.s) == (cos * cos - sin * sin, 2 * cos * sin)

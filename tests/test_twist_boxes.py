@@ -17,7 +17,7 @@ from knotbands.algebra import det_int
 from knotbands.bandform import (
     BandSurface,
     framing,
-    gamma_curve,
+    gamma_self_linking,
     gl_form,
     klein_bottle_for_cables,
     mobius_band,
@@ -66,7 +66,7 @@ def test_retwisted_orientable_gl_form_symmetrizes_seifert(seed, shifts):
 @given(st.integers(0, 10**6), ks)
 def test_retwisted_normal_form_gamma_law(seed, shifts):
     F = _retwist(random_normal_form(random.Random(seed)), shifts)
-    assert framing(F) == 4 * gamma_curve(F).self_linking
+    assert framing(F) == 4 * gamma_self_linking(F)
 
 
 @settings(max_examples=30, deadline=None)
