@@ -8,9 +8,10 @@ integers and rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
+
+from .record import Record
 
 
 class LaurentPoly:
@@ -62,9 +63,8 @@ class LaurentPoly:
         return max(self._c)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.term(other)
-        if not isinstance(other, LaurentPoly):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._c == other._c
 
@@ -399,10 +399,10 @@ def _non_divisible(a, t):
     return None
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(Record):
     """Isomorphism type of a finitely generated abelian group."""
 
+    __slots__ = ("free_rank", "torsion")
     free_rank: int
     torsion: tuple[int, ...]
 
@@ -433,8 +433,12 @@ def fp_abelian_invariants(
         raise ValueError(f"generator count must be an integer, got {generators!r}")
     if generators < 0:
         raise ValueError("generator count must be nonnegative")
-    rel = [list(row) for row in relations]
+    rel = list(relations)
     for row in rel:
+        # a string or a JSON object would otherwise be read as a row of
+        # its characters or keys
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(f"each relation must be a list of integers, got {row!r}")
         if len(row) != generators:
             raise ValueError(
                 f"relation length {len(row)} does not match generator count {generators}"

@@ -32,10 +32,10 @@ Geometric conventions baked into the compiler:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .diagram import Crossing, CrossingList, classical_linking, over_counts
+from .record import Record
 
 
 class MultipleBoundaryError(ValueError):
@@ -50,27 +50,27 @@ class NormalFormError(ValueError):
     """The surface is not an ordered connect sum of two-band pieces."""
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(Record):
     """A band; half_twists counts signed half twists (+1 = right handed)."""
 
+    __slots__ = ("half_twists",)
     half_twists: int
 
 
-@dataclass(frozen=True)
-class RouteEvent:
+class RouteEvent(Record):
     """One band-over-band crossing: (band, slot) passages and a sign.
 
     Slots order each band's events from end A toward end B.
     """
 
+    __slots__ = ("over", "under", "sign")
     over: tuple[int, int]
     under: tuple[int, int]
     sign: int
 
 
-@dataclass(frozen=True)
-class BandSurface:
+class BandSurface(Record):
+    __slots__ = ("bands", "attach", "route")
     bands: tuple[Band, ...]
     attach: tuple[tuple[int, str], ...]
     route: tuple[RouteEvent, ...]
@@ -134,8 +134,8 @@ class BandSurface:
             raise ValueError(f"malformed band surface JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SurfaceShape:
+class SurfaceShape(Record):
+    __slots__ = ("orientable", "genus", "euler", "boundary_components")
     orientable: bool
     genus: int
     euler: int
@@ -382,8 +382,7 @@ class _Chord:
         self.comp = comp
 
 
-@dataclass(frozen=True)
-class CompiledCurves:
+class CompiledCurves(Record):
     """The requested curves as signed crossings between components at the
     route events and on the disk, plus the twist-box crossings as counts.
 
@@ -394,6 +393,7 @@ class CompiledCurves:
     out; shape is the topological type found while validating the surface.
     """
 
+    __slots__ = ("diagram", "components", "twist_boxes", "shape")
     diagram: CrossingList
     components: dict
     twist_boxes: dict
@@ -651,11 +651,11 @@ def seifert_matrix(F: BandSurface) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@dataclass(frozen=True)
-class SurfaceAnalysis:
+class SurfaceAnalysis(Record):
     """What the screens read off a surface: ``shape(F)``, ``framing(F)``
     and ``gl_form(F)``."""
 
+    __slots__ = ("shape", "framing", "gl_form")
     shape: SurfaceShape
     framing: int
     gl_form: tuple[tuple[int, ...], ...]

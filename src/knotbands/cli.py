@@ -258,7 +258,10 @@ def _cmd_homology(args) -> int:
         raise ValueError(
             'presentation must be a JSON object with "generators" and "relations"'
         )
-    inv = fp_abelian_invariants(obj["generators"], obj.get("relations") or [])
+    relations = obj.get("relations", [])
+    if not isinstance(relations, list):
+        raise ValueError(f"relations must be a JSON list of rows, got {relations!r}")
+    inv = fp_abelian_invariants(obj["generators"], relations)
     payload = {
         "group": str(inv),
         "free_rank": inv.free_rank,

@@ -14,26 +14,33 @@ makes the standard diagram of the (2,3) torus knot have writhe +3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 
 class NonclassicalCrossingError(ValueError):
     """Crossing data that cannot come from a classical link diagram."""
 
 
-@dataclass(frozen=True, slots=True)
-class Crossing:
+class Crossing(Record):
     """One crossing: its sign and the components passing over and under it."""
 
+    __slots__ = ("sign", "over", "under")
     sign: int
     over: int
     under: int
 
+    # written out, not Record's generic one: a surface compile builds
+    # thousands of crossings
+    def __init__(self, sign: int, over: int, under: int):
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "over", over)
+        object.__setattr__(self, "under", under)
 
-@dataclass(frozen=True)
-class CrossingList:
+
+class CrossingList(Record):
     """Signed crossings between components numbered 0 .. n_components - 1."""
 
+    __slots__ = ("n_components", "crossings")
     n_components: int
     crossings: tuple[Crossing, ...]
 

@@ -10,7 +10,6 @@ diagonalization of an integer matrix with no rounding anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -20,6 +19,7 @@ from .algebra import (
     inertia,
     signature_exact,
 )
+from .record import Record
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -40,11 +40,11 @@ def _as_matrix(rows) -> Matrix:
 # exact points on the unit circle
 
 
-@dataclass(frozen=True)
-class Omega:
+class Omega(Record):
     """The point omega = (1 + i s)/(1 - i s) of the unit circle for a
     nonzero rational s; s = None is omega = -1."""
 
+    __slots__ = ("s",)
     s: Fraction | None
 
     def __post_init__(self):
@@ -55,6 +55,10 @@ class Omega:
 
     @staticmethod
     def from_s(s) -> "Omega":
+        """The point for s given as an int, a Fraction or a string such as
+        "1/2"; floats and bools are rejected, not converted."""
+        if type(s) is bool or not isinstance(s, (int, Fraction, str)):
+            raise ValueError(f"s must be an integer, a Fraction or a string, got {s!r}")
         return Omega(Fraction(s))
 
     @staticmethod
@@ -105,11 +109,11 @@ DEFAULT_SAMPLES: tuple[Omega, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class SignatureSample:
+class SignatureSample(Record):
     """One Levine-Tristram evaluation; value is None exactly when the
     Hermitian form was singular (omega hit an Alexander root)."""
 
+    __slots__ = ("omega", "value")
     omega: Omega
     value: int | None
 

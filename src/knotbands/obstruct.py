@@ -8,8 +8,7 @@ given surface), while "pass" only means this screen found nothing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .algebra import (
     LaurentPoly,
@@ -56,14 +55,15 @@ from .invariants import (
     signature,
 )
 from .presets import get_preset, preset_names
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
 # reports
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(Record):
+    __slots__ = ("name", "status", "details")
     name: str
     status: str  # "pass" | "fail" | "skipped-singular"
     details: str
@@ -73,8 +73,8 @@ class TestResult:
             raise ValueError(f"unknown test status {self.status!r}")
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
+    __slots__ = ("tests",)
     tests: tuple[TestResult, ...]
 
     def __post_init__(self):
@@ -481,8 +481,8 @@ def random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
 # the randomized verification battery
 
 
-@dataclass(frozen=True)
-class VerifyProperty:
+class VerifyProperty(Record):
+    __slots__ = ("name", "cases", "failures", "detail")
     name: str
     cases: int
     failures: int
@@ -493,8 +493,8 @@ class VerifyProperty:
         return self.failures == 0
 
 
-@dataclass(frozen=True)
-class VerifySummary:
+class VerifySummary(Record):
+    __slots__ = ("seed", "trials", "properties")
     seed: int
     trials: int
     properties: tuple[VerifyProperty, ...]

@@ -3,14 +3,26 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
+import os
 
 from .bandform import BandSurface, RouteEvent, core_route
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PresetKnot:
+class PresetKnot(Record):
+    __slots__ = (
+        "name",
+        "delta",
+        "sigma",
+        "det",
+        "arf",
+        "seifert",
+        "core_route",
+        "orientable_surface",
+        "nonorientable_surface",
+        "gl_nonorientable",
+        "framing_nonorientable",
+    )
     name: str
     delta: str
     sigma: int
@@ -25,9 +37,10 @@ class PresetKnot:
 
 
 def _load() -> dict[str, PresetKnot]:
-    raw = json.loads(
-        resources.files("knotbands").joinpath("presets.json").read_text()
-    )
+    # read from the package directory: a zip-imported install is not supported
+    path = os.path.join(os.path.dirname(__file__), "presets.json")
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
     out = {}
     for name, rec in raw.items():
         out[name] = PresetKnot(

@@ -1,0 +1,62 @@
+"""Frozen value records.
+
+A record class derives from ``Record`` and lists its fields, in
+constructor order, in ``__slots__``. It is built positionally or by
+keyword, checks itself in ``__post_init__``, refuses assignment, compares
+and hashes by its field values (never equal to a record of another
+class), and prints as ``Name(field=value, ...)``.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(
+                f"{type(self).__name__}() takes {len(names)} arguments, got {len(args)}"
+            )
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+            object.__setattr__(self, name, kwargs.pop(name))
+        if kwargs:
+            raise TypeError(
+                f"{type(self).__name__}() got an unexpected or repeated argument "
+                f"{next(iter(kwargs))!r}"
+            )
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, since
+        # assignment is refused
+        return type(self), self._values()

@@ -31,6 +31,13 @@ class TestLaurentPoly:
         with pytest.raises(ValueError, match="must be integers"):
             LaurentPoly(coeffs)
 
+    def test_bools_compare_unequal(self):
+        # a bool is not an integer here, as in every other LaurentPoly input
+        assert not LaurentPoly.one() == True  # noqa: E712
+        assert LaurentPoly.one() != True  # noqa: E712
+        assert LaurentPoly.zero() != False  # noqa: E712
+        assert LaurentPoly.one() == 1 and LaurentPoly.zero() == 0
+
     def test_to_string_fixtures(self):
         cases = [
             ({}, "0"),
@@ -210,6 +217,11 @@ class TestAbelianInvariants:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="generator count"):
             fp_abelian_invariants(2, [[1, 2, 3]])
+
+    @pytest.mark.parametrize("relations", [{"ab": 1}, "12", ["12"], [{"a": 1, "b": 2}]], ids=repr)
+    def test_rejects_rows_that_are_not_lists(self, relations):
+        with pytest.raises(ValueError, match="each relation must be a list of integers"):
+            fp_abelian_invariants(2, relations)
 
 
 def test_transpose():

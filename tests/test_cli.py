@@ -369,6 +369,31 @@ class TestMalformedSamples:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestMalformedRelations:
+    """The relations and each relation must be JSON lists; a string or an
+    object is not read as a list of its characters or keys, and a false
+    value is not read as no relations."""
+
+    @pytest.mark.parametrize(
+        "relations, message",
+        [
+            ('{"ab":1}', "relations must be a JSON list of rows, got {'ab': 1}"),
+            ('"12"', "relations must be a JSON list of rows, got '12'"),
+            ("false", "relations must be a JSON list of rows, got False"),
+            ("5", "relations must be a JSON list of rows, got 5"),
+            ('["12"]', "each relation must be a list of integers, got '12'"),
+            ('[{"a":1,"b":2}]', "each relation must be a list of integers, got {'a': 1, 'b': 2}"),
+        ],
+        ids=["object", "string", "false", "number", "string-row", "object-row"],
+    )
+    def test_exit_1(self, capsys, relations, message):
+        presentation = f'{{"generators":2,"relations":{relations}}}'
+        code, out, err = call(capsys, "homology", "--presentation", presentation)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 class TestProcessSmoke:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -61,9 +61,17 @@ class TestOmega:
         assert Omega.from_s(Fraction(1, 2)).s == Fraction(1, 2)
         assert oracles.omega_trig(Fraction(1, 2)) == (Fraction(3, 5), Fraction(4, 5))
         assert Omega.from_s(1) == Omega(Fraction(1))
+        assert Omega.from_s("1/10").label() == "s=1/10"
         assert Omega.minus_one().s is None
         with pytest.raises(ValueError, match="omega = 1 is excluded"):
             Omega.from_s(0)  # s = 0 lands on the excluded point
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, True, False, None, [1, 2]], ids=repr)
+    def test_from_s_rejects_floats_and_bools(self, s):
+        # Fraction(0.1) would be 3602879701896397/36028797018963968
+        # and Fraction(True) would be 1
+        with pytest.raises(ValueError, match="s must be an integer, a Fraction or a string"):
+            Omega.from_s(s)
 
     def test_squared(self):
         assert Omega.minus_one().squared() is None
