@@ -237,8 +237,42 @@ def det_laurent(rows: Sequence[Sequence[LaurentPoly | int]]) -> LaurentPoly:
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (empty matrix -> 1)."""
-    return det_laurent(rows).evaluate_int(1)
+    """Exact determinant of a square integer matrix (empty matrix -> 1).
+
+    Fraction-free Bareiss elimination over Z (Bareiss, Math. Comp. 1968):
+    after step k every entry of the trailing block is a (k+1)-minor of the
+    input, so the division by the previous pivot is exact and ``//`` never
+    rounds. A row swap flips the sign. Entries must be ints; floats, bools
+    and LaurentPoly entries are rejected (use det_laurent for the latter).
+    """
+    n = _square_size(rows)
+    a = []
+    for row in rows:
+        for x in row:
+            # floats and bools are rejected, not truncated
+            if type(x) is not int:
+                raise ValueError(f"matrix entries must be integers, got {x!r}")
+        a.append(list(row))
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        rk = a[k]
+        akk = rk[k]
+        for i in range(k + 1, n):
+            ri = a[i]
+            aik = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (akk * ri[j] - aik * rk[j]) // prev
+        prev = akk
+    return sign * a[n - 1][n - 1]
 
 
 def transpose(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -260,8 +294,15 @@ def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
     Lagrange congruence diagonalization over Q. Zero diagonals are
     repaired by a symmetric row/column addition, which realizes the
     classical hyperbolic-pair step without leaving exact arithmetic.
+    Entries must be ints or Fractions; floats and bools are rejected.
     """
     n = _square_size(rows)
+    for row in rows:
+        for x in row:
+            if type(x) is not int and not isinstance(x, Fraction):
+                raise ValueError(
+                    f"matrix entries must be integers or Fractions, got {x!r}"
+                )
     if not is_symmetric(rows):
         raise ValueError("matrix must be symmetric")
     a = [[Fraction(rows[i][j]) for j in range(n)] for i in range(n)]

@@ -152,19 +152,50 @@ def alexander(seifert) -> LaurentPoly:
     return _normalize_alexander(det_laurent(entries))
 
 
+def _det_symmetrized(seifert) -> int:
+    """det(V + V^T) for a Seifert matrix V that alexander accepts; raises
+    alexander's ValueError for any other V (see determinant_knot)."""
+    V = _as_matrix(seifert)
+    n = len(V)
+    if abs(det_int([[V[i][j] - V[j][i] for j in range(n)] for i in range(n)])) != 1:
+        alexander(V)  # raises the degenerate-presentation error
+    return det_int([[V[i][j] + V[j][i] for j in range(n)] for i in range(n)])
+
+
 def determinant_knot(seifert=None, gl=None) -> int:
-    """|Delta(-1)| from a Seifert matrix, or |det| of a GL form."""
+    """|Delta(-1)| = |det(V + V^T)| from a Seifert matrix V, or |det| of
+    a GL form.
+
+    With P(t) = det(V - t V^T), alexander(V) succeeds exactly when
+    |det(V - V^T)| = 1, so that is the only check made on V: P(1) =
+    det(V - V^T); transposing gives P(t) = (-t)^n P(1/t), so the support
+    of P is centred on n/2 when n is even; and for odd n the
+    skew-symmetric V - V^T has determinant 0. Then Delta = +-t^(-n/2) P(t)
+    and |Delta(-1)| = |P(-1)| = |det(V + V^T)|, one integer determinant
+    instead of the whole polynomial.
+    """
     if (seifert is None) == (gl is None):
         raise ValueError("provide exactly one of seifert or gl")
     if seifert is not None:
-        return abs(alexander(seifert).evaluate_int(-1))
+        return abs(_det_symmetrized(seifert))
     return abs(det_int(_as_matrix(gl)))
 
 
 def arf(source) -> int:
-    """0 iff Delta(-1) is +-1 mod 8."""
-    delta = source if isinstance(source, LaurentPoly) else alexander(source)
-    return 0 if delta.evaluate_int(-1) % 8 in (1, 7) else 1
+    """0 iff Delta(-1) is +-1 mod 8.
+
+    From an Alexander polynomial it reads Delta(-1). From a Seifert matrix
+    V it reads det(V + V^T) = +-Delta(-1) mod 8 after checking
+    |det(V - V^T)| = 1, which holds exactly when alexander(V) succeeds:
+    P(t) = det(V - t V^T) has P(1) = det(V - V^T), P(t) = (-t)^n P(1/t)
+    centres its support, and a skew-symmetric matrix of odd size has
+    determinant 0 (spelled out in determinant_knot).
+    """
+    if isinstance(source, LaurentPoly):
+        at_minus_one = source.evaluate_int(-1)
+    else:
+        at_minus_one = _det_symmetrized(source)
+    return 0 if at_minus_one % 8 in (1, 7) else 1
 
 
 def signature(seifert) -> int:

@@ -5,16 +5,19 @@ library takes: determinants by cofactor expansion, Arf from a symplectic
 basis of the mod-2 intersection form, twist-box crossings by braiding the
 strands one half twist at a time, Seifert matrices read brick by brick
 off braid words, and Levine-Tristram signatures from the rational cos/sin
-coordinates of the sample point. ``validate_diagram`` checks that the
-signed crossings between components the curve compiler emits have signs
-+-1 and name components that exist.
+coordinates of the sample point. ``det_int_laurent`` and
+``determinant_via_alexander`` take the integer and knot determinants
+through the Laurent ring (det_laurent, alexander), the reference for the
+integer Bareiss path.
+``validate_diagram`` checks that the signed crossings between components
+the curve compiler emits have signs +-1 and name components that exist.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from knotbands import LaurentPoly, inertia
+from knotbands import LaurentPoly, alexander, det_laurent, inertia
 from knotbands.diagram import CrossingList
 
 
@@ -46,6 +49,16 @@ def det_cofactor(rows) -> LaurentPoly:
         return total
 
     return rec(grid)
+
+
+def det_int_laurent(rows) -> int:
+    """Integer determinant by Bareiss over Z[t, t^-1], read at t = 1."""
+    return det_laurent(rows).evaluate_int(1)
+
+
+def determinant_via_alexander(v) -> int:
+    """|Delta(-1)| from the whole Alexander polynomial of V."""
+    return abs(alexander(v).evaluate_int(-1))
 
 
 def arf_symplectic(v) -> int:

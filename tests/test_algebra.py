@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,27 @@ class TestDeterminants:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             det_laurent([[LaurentPoly.one()], [LaurentPoly.one()]])
+        with pytest.raises(ValueError, match="matrix must be square"):
+            det_int([[1, 2]])
+        with pytest.raises(ValueError, match="matrix must be square"):
+            det_int([[1.0], [2.0]])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1.0]], [[True]], [[2, 1], [1, 2.5]], [[LaurentPoly.one()]]],
+        ids=repr,
+    )
+    def test_det_int_takes_integers_only(self, rows):
+        with pytest.raises(ValueError, match="must be integers"):
+            det_int(rows)
+
+    def test_det_int_fixtures(self):
+        assert det_int([]) == 1
+        assert det_int([[-7]]) == -7
+        # a zero leading entry forces a row swap, which flips the sign
+        assert det_int([[0, 2, 1], [3, 0, 1], [1, 1, 0]]) == 5
+        assert det_int([[0, 0], [1, 1]]) == 0
+        assert det_int([[1, 2], [2, 4]]) == 0
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 4))
@@ -126,6 +149,19 @@ class TestInertia:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             inertia([[0, 1], [2, 0]])
+
+    @pytest.mark.parametrize(
+        "rows", [[[0.5, 1], [1, True]], [[True]], [[1.0]], [[LaurentPoly.one()]]],
+        ids=repr,
+    )
+    def test_rejects_floats_and_bools(self, rows):
+        with pytest.raises(ValueError, match="must be integers or Fractions"):
+            inertia(rows)
+        with pytest.raises(ValueError, match="must be integers or Fractions"):
+            signature_exact(rows)
+
+    def test_accepts_fractions(self):
+        assert inertia([[Fraction(1, 2), 1], [1, Fraction(-3, 4)]]) == (1, 1, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 5))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from knotbands import invariants
+from knotbands import algebra, invariants
 from knotbands.algebra import LaurentPoly, inertia
 from knotbands.invariants import (
     DEFAULT_SAMPLES,
@@ -311,3 +311,38 @@ class TestDeterminantAndArf:
         w = conjugate(v, p)
         assert determinant_knot(seifert=w) == determinant_knot(seifert=v)
         assert arf(w) == arf(v)
+
+    def test_degenerate_seifert_matrices_keep_alexanders_error(self):
+        # |det(V - V^T)| != 1 hands over to alexander, whose text is kept
+        cases = [
+            (((0, 0), (0, 0)), "zero Alexander determinant"),
+            (((1, 0), (0, 1)), "value 0 at t=1"),
+            (((2,),), "support cannot be centered"),
+            (((0, 2), (0, 0)), "value 4 at t=1"),
+        ]
+        for v, text in cases:
+            for call in (lambda: determinant_knot(seifert=v), lambda: arf(v)):
+                with pytest.raises(ValueError, match=text):
+                    call()
+        with pytest.raises(ValueError, match="must be integers"):
+            determinant_knot(seifert=((1.0,),))
+        with pytest.raises(ValueError, match="matrix must be square"):
+            arf(((1, 0),))
+
+    def test_no_alexander_polynomial_is_built(self, monkeypatch):
+        # the knot determinant, the Arf invariant and det_int are one
+        # integer determinant each; a Laurent determinant here would be
+        # the redundant Delta coming back
+        def refuse(rows):
+            raise AssertionError("det_laurent called")
+
+        monkeypatch.setattr(invariants, "det_laurent", refuse)
+        monkeypatch.setattr(algebra, "det_laurent", refuse)
+        v = oracles.seifert_from_braid(oracles.T35_WORD)
+        assert determinant_knot(seifert=v) == 1
+        assert arf(v) == 0
+        assert determinant_knot(seifert=FIGURE_EIGHT) == 5
+        assert arf(TREFOIL) == 1
+        assert algebra.det_int([[2, 1], [1, 2]]) == 3
+        with pytest.raises(AssertionError, match="det_laurent called"):
+            alexander(TREFOIL)

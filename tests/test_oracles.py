@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from knotbands.algebra import det_int
 from knotbands.bandform import seifert_matrix
 from knotbands.invariants import (
     DEFAULT_SAMPLES,
@@ -206,3 +207,102 @@ class TestLevineTristramOracle:
         cos, sin = oracles.omega_trig(s)
         squared = Omega(s).squared()
         assert oracles.omega_trig(squared.s) == (cos * cos - sin * sin, 2 * cos * sin)
+
+
+def _random_braid_seifert(rng: random.Random) -> list[list[int]]:
+    """Seifert matrix of a random knotted braid closure on 2-5 strands,
+    of rank at most 8."""
+    while True:
+        n = rng.randint(2, 5)
+        word = [
+            rng.choice((1, -1)) * rng.randint(1, n - 1)
+            for _ in range(rng.randint(n, n + 7))
+        ]
+        if sorted({abs(c) for c in word}) == list(range(1, n)) and (
+            oracles.braid_closure_components(word) == 1
+        ):
+            return oracles.seifert_from_braid(word)
+
+
+def _symmetric(rng: random.Random, n: int) -> list[list[int]]:
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.randint(-2, 2)
+    return m
+
+
+def _random_square(rng: random.Random, n: int) -> list[list[int]]:
+    """A random n x n integer matrix of one of several shapes, most of
+    them singular or degenerate as a Seifert matrix."""
+    kind = rng.randrange(7)
+    if kind == 0:  # dense
+        return [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    if kind == 1:  # sparse, often singular
+        return [[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(n)]
+    if kind == 2:  # rank below n
+        r = rng.randint(0, max(n - 1, 0))
+        a = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+        b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+        return [
+            [sum(a[i][k] * b[k][j] for k in range(r)) for j in range(n)]
+            for i in range(n)
+        ]
+    if kind == 3:  # V - V^T = 0
+        return _symmetric(rng, n)
+    # symmetric plus c times the standard symplectic upper half, so that
+    # |det(V - V^T)| = c^(n/2): a Seifert matrix for c = 1 and even n;
+    # then n random elementary congruences V -> E V E^T hide the blocks
+    c = 1 if kind < 6 else rng.choice((2, 3))
+    m = _symmetric(rng, n)
+    for i in range(0, n - 1, 2):
+        m[i][i + 1] += c
+    for _ in range(n if n >= 2 else 0):
+        i, j = rng.sample(range(n), 2)
+        e = rng.choice((1, -1))
+        m[i] = [x + e * y for x, y in zip(m[i], m[j])]
+        for row in m:
+            row[i] += e * row[j]
+    return m
+
+
+def _outcome(f, *args):
+    """f's value, or the text of the ValueError it raised."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+class TestIntegerDeterminantOracle:
+    """det_int, determinant_knot and arf on a Seifert matrix against the
+    Laurent-polynomial route through det_laurent and alexander."""
+
+    def test_agrees_on_braid_and_random_matrices(self):
+        rng = random.Random(11)
+        matrices = [_random_braid_seifert(rng) for _ in range(700)]
+        # sizes 0-8, smaller ones more often: n is the least of two draws
+        sizes = [min(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(1400)]
+        matrices += [_random_square(rng, n) for n in sizes]
+        cofactor = valid = 0
+        errors = set()
+        for m in matrices:
+            d = det_int(m)
+            assert d == oracles.det_int_laurent(m), m
+            if len(m) <= 5:
+                assert oracles.det_cofactor(m) == d, m
+                cofactor += 1
+            want = _outcome(oracles.determinant_via_alexander, m)
+            assert _outcome(determinant_knot, m) == want, m
+            # the Arf rule on the Laurent route's |Delta(-1)|, or its error
+            if isinstance(want, int):
+                want = 0 if want % 8 in (1, 7) else 1
+                valid += 1
+            else:
+                errors.add(want)
+            assert _outcome(arf, m) == want, m
+        assert len(matrices) >= 2000 and cofactor >= 1000
+        # both outcomes are exercised, and every degenerate-presentation error
+        assert valid >= 900
+        kinds = ("zero Alexander determinant", "cannot be centered", "at t=1")
+        assert all(any(k in e for e in errors) for k in kinds), errors
