@@ -115,12 +115,16 @@ class LaurentPoly:
 
     def substitute(self, k: int) -> "LaurentPoly":
         """Apply t -> t^k for a nonzero integer k."""
+        if type(k) is not int:
+            raise ValueError(f"substitution exponent must be an integer, got {k!r}")
         if k == 0:
             raise ValueError("substitution exponent must be nonzero")
         return LaurentPoly({e * k: v for e, v in self._c.items()})
 
     def evaluate_int(self, x: int) -> int:
         """Evaluate at an integer point, exactly. x=0 needs no negative exponents."""
+        if type(x) is not int:
+            raise ValueError(f"evaluation point must be an integer, got {x!r}")
         if x == 0 and self._c and self.min_exp < 0:
             raise ValueError("cannot evaluate at 0: negative exponents present")
         total = Fraction(0)

@@ -34,11 +34,7 @@ from .invariants import (
     levine_tristram,
     signature,
 )
-from .obstruct import (
-    cable_concordance_check,
-    slice_obstruction_report,
-    verify_paper,
-)
+from .obstruct import cable_concordance_check, slice_obstruction_report
 from .presets import get_preset, preset_names
 
 
@@ -272,6 +268,9 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the battery and its generators load only for this verb
+    from .battery import verify_paper
+
     summary = verify_paper(seed=args.seed, trials=args.trials)
     _emit(args, summary.to_json(), summary.to_text())
     return 0 if summary.all_passed else 2

@@ -245,6 +245,8 @@ def alexander_satellite(delta_r: LaurentPoly, delta_j: LaurentPoly) -> LaurentPo
 
 def torus2_alexander(p: int) -> LaurentPoly:
     """Alexander polynomial of the (2,p) torus knot, p odd."""
+    if type(p) is not int:
+        raise ValueError(f"p must be an integer, got {p!r}")
     if p % 2 == 0:
         raise ValueError("p must be odd")
     m = (abs(p) - 1) // 2

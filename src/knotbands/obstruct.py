@@ -7,54 +7,19 @@ given surface), while "pass" only means this screen found nothing.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterable
 
-from .algebra import (
-    LaurentPoly,
-    det_laurent,
-    fp_abelian_invariants,
-    signature_exact,
-    smith_normal_form,
-    transpose,
-)
-from .bandform import (
-    BandSurface,
-    RouteEvent,
-    SurfaceAnalysis,
-    analyze_surface,
-    boundary_connect_sum,
-    boundary_walk,
-    core_route,
-    core_writhe,
-    framing,
-    gamma_self_linking,
-    gl_form,
-    interleave_data,
-    klein_bottle_for_cables,
-    mirror_core,
-    mobius_band,
-    seifert_matrix,
-    shape,
-    surgery_shape,
-    validate_surface,
-    zero_framing_stabilize,
-)
+from .algebra import signature_exact
+from .bandform import SurfaceAnalysis
 from .invariants import (
     DEFAULT_SAMPLES,
     Omega,
-    SignatureSample,
-    _as_matrix,
     alexander,
     alexander_cable2,
-    alexander_satellite,
-    arf,
     determinant_knot,
     levine_tristram,
-    sigma_satellite,
     signature,
 )
-from .presets import get_preset, preset_names
 from .record import Record
 
 
@@ -155,62 +120,10 @@ def determinant_mod8_check(gl) -> ObstructionReport:
     )
 
 
-def _sigma_leg(
-    name: str,
-    sk: SignatureSample,
-    sj: SignatureSample,
-    details: str,
-    singular_details: str | None = None,
-) -> TestResult:
-    """One signature comparison: skipped when either sample is singular,
-    else a pass exactly when the two values are equal."""
-    if sk.singular or sj.singular:
-        return TestResult(
-            name,
-            "skipped-singular",
-            details if singular_details is None else singular_details,
-        )
-    return TestResult(name, "pass" if sk.value == sj.value else "fail", details)
-
-
-def sigma_squared_check(
-    v_k, v_j, samples: Iterable[Omega] | None = None
-) -> ObstructionReport:
-    """sigma_K(omega) = sigma_J(omega^2) at each sample, skipped where
-    either side is singular; omega^2 = 1 counts as singular on both."""
-    v_k, v_j = _as_matrix(v_k), _as_matrix(v_j)
-    tests = []
-    for omega in DEFAULT_SAMPLES if samples is None else samples:
-        squared = omega.squared()
-        if squared is None:
-            sk = sj = SignatureSample(omega, None)
-        else:
-            sk, sj = levine_tristram(v_k, omega), levine_tristram(v_j, squared)
-        tests.append(
-            _sigma_leg(
-                f"sigma-squared {omega.label()}",
-                sk,
-                sj,
-                f"sigma_K = {sk.value}, sigma_J(omega^2) = {sj.value}",
-            )
-        )
-    return ObstructionReport(tuple(tests))
-
-
-def slice_obstruction_report(
-    surface: SurfaceAnalysis,
-    v_j=None,
-    samples: Iterable[Omega] | None = None,
-    v_boundary=None,
-) -> ObstructionReport:
+def slice_obstruction_report(surface: SurfaceAnalysis) -> ObstructionReport:
     """Screen the boundary of a zero-framed punctured Klein bottle, given
     by its ``analyze_surface``, against the invariant constraints that
-    sliceness would impose.
-
-    v_j: claimed Seifert matrix of the 2-sided companion J (enables the
-    squared-parameter signature test when v_boundary is also given).
-    v_boundary: independent Seifert matrix of the boundary knot itself.
-    """
+    sliceness would impose: det = +-1 mod 8 and ordinary signature 0."""
     sh = surface.shape
     if sh.orientable or sh.genus != 2:
         raise ValueError(
@@ -219,27 +132,17 @@ def slice_obstruction_report(
     if surface.framing != 0:
         raise ValueError(f"framing must be 0, got {surface.framing}")
     G = surface.gl_form
-    tests = [determinant_mod8_check(G).tests[0]]
     sig_g = signature_exact([list(r) for r in G])
-    tests.append(
-        TestResult(
-            "ordinary-signature",
-            "pass" if sig_g == 0 else "fail",
-            f"sign(GL) - framing/2 = {sig_g}, slice boundary needs 0",
+    return ObstructionReport(
+        (
+            determinant_mod8_check(G).tests[0],
+            TestResult(
+                "ordinary-signature",
+                "pass" if sig_g == 0 else "fail",
+                f"sign(GL) - framing/2 = {sig_g}, slice boundary needs 0",
+            ),
         )
     )
-    if v_boundary is not None:
-        s_b = signature(v_boundary)
-        tests.append(
-            TestResult(
-                "boundary-signature",
-                "pass" if s_b == 0 else "fail",
-                f"ordinary signature of supplied boundary matrix = {s_b}",
-            )
-        )
-        if v_j is not None:
-            tests.extend(sigma_squared_check(v_boundary, v_j, samples).tests)
-    return ObstructionReport(tuple(tests))
 
 
 def cable_concordance_check(
@@ -248,21 +151,25 @@ def cable_concordance_check(
     """Necessary conditions for the (2,p) cables of K and J to be
     concordant over Z[1/2]: the signature functions of K and J must agree
     at every sample, and the cable determinants must match."""
+    if type(p) is not int:
+        raise ValueError(f"p must be an integer, got {p!r}")
     if p % 2 == 0:
         raise ValueError("p must be odd")
     tests = []
     for omega in DEFAULT_SAMPLES if samples is None else samples:
+        name = f"sigma-match {omega.label()}"
         sk = levine_tristram(v_k, omega)
         sj = levine_tristram(v_j, omega)
-        tests.append(
-            _sigma_leg(
-                f"sigma-match {omega.label()}",
-                sk,
-                sj,
-                f"sigma_K = {sk.value}, sigma_J = {sj.value}",
-                "Alexander root on one side",
+        if sk.singular or sj.singular:
+            tests.append(TestResult(name, "skipped-singular", "Alexander root on one side"))
+        else:
+            tests.append(
+                TestResult(
+                    name,
+                    "pass" if sk.value == sj.value else "fail",
+                    f"sigma_K = {sk.value}, sigma_J = {sj.value}",
+                )
             )
-        )
     dk = abs(alexander_cable2(alexander(v_k), p).evaluate_int(-1))
     dj = abs(alexander_cable2(alexander(v_j), p).evaluate_int(-1))
     tests.append(
@@ -273,574 +180,3 @@ def cable_concordance_check(
         )
     )
     return ObstructionReport(tuple(tests))
-
-
-# ---------------------------------------------------------------------------
-# random generators for the batteries
-
-
-_CORE_FACTORS: tuple[tuple[tuple[int, int, int], ...], ...] = (
-    (),
-    ((0, 3, 1), (4, 1, 1), (2, 5, 1)),  # (2,3) torus knot
-    ((0, 5, 1), (6, 1, 1), (2, 7, 1), (8, 3, 1), (4, 9, 1)),  # (2,5) torus knot
-    ((0, 1, 1),),  # positive kink
-    ((0, 1, -1),),  # negative kink
-)
-
-_CORE_DELTAS = (
-    LaurentPoly.one(),
-    LaurentPoly({-1: 1, 0: -1, 1: 1}),
-    LaurentPoly({-2: 1, -1: -1, 0: 1, 1: -1, 2: 1}),
-    LaurentPoly.one(),
-    LaurentPoly.one(),
-)
-
-
-def random_core(rng: random.Random, max_factors: int = 2):
-    """A knot route for a band core, as a connected sum of small factors;
-    returns (route, its Alexander polynomial)."""
-    route: list[RouteEvent] = []
-    delta = LaurentPoly.one()
-    offset = 0
-    for _ in range(rng.randint(0, max_factors)):
-        idx = rng.randrange(len(_CORE_FACTORS))
-        factor = core_route(_CORE_FACTORS[idx])
-        if rng.random() < 0.5:
-            factor = mirror_core(factor)
-        for ev in factor:
-            route.append(
-                RouteEvent(
-                    (0, ev.over[1] + offset), (0, ev.under[1] + offset), ev.sign
-                )
-            )
-        offset += 2 * len(factor)
-        delta = delta * _CORE_DELTAS[idx]
-    return tuple(route), delta
-
-
-def random_band_surface(
-    rng: random.Random,
-    max_bands: int = 6,
-    max_twist: int = 5,
-    max_events: int = 10,
-    orientable: bool = False,
-) -> BandSurface:
-    """Seeded single-boundary surface with crossing data an embedded
-    surface could actually have (interleaved band pairs get the one
-    disk-forced crossing compensated in the route)."""
-    while True:
-        if orientable:
-            n = 2 * rng.randint(1, max(1, max_bands // 2))
-            twists = [2 * rng.randint(-(max_twist // 2), max_twist // 2) for _ in range(n)]
-        else:
-            n = rng.randint(1, max_bands)
-            twists = [rng.randint(-max_twist, max_twist) for _ in range(n)]
-            k = rng.randrange(n)
-            if twists[k] % 2 == 0:
-                twists[k] += 1 if twists[k] < max_twist else -1
-        tokens = [(i, e) for i in range(n) for e in ("A", "B")]
-        rng.shuffle(tokens)
-        bare = BandSurface.build(twists, tokens)
-        if boundary_walk(bare)[1] != 1:
-            continue
-        mandatory = [
-            (pair, d) for pair, (ilv, d) in interleave_data(bare).items() if ilv
-        ]
-        if len(mandatory) > max_events:
-            continue
-        events: list[tuple] = []
-        counters: dict[int, int] = {}
-
-        def slot(b: int) -> int:
-            counters[b] = counters.get(b, -1) + 1
-            return counters[b]
-
-        for (i, j), d in mandatory:
-            if rng.random() < 0.5:
-                events.append(((i, slot(i)), (j, slot(j)), -d))
-            else:
-                events.append(((j, slot(j)), (i, slot(i)), d))
-        budget = max_events - len(events)
-        while budget > 0 and rng.random() < 0.6:
-            roll = rng.random()
-            if roll < 0.4 and n >= 2 and budget >= 2:
-                i, j = rng.sample(range(n), 2)
-                s = rng.choice((1, -1))
-                events.append(((i, slot(i)), (j, slot(j)), s))
-                events.append(((i, slot(i)), (j, slot(j)), -s))
-                budget -= 2
-            elif roll < 0.7 and n >= 2 and budget >= 2:
-                i, j = rng.sample(range(n), 2)
-                s = rng.choice((1, -1))
-                events.append(((i, slot(i)), (j, slot(j)), s))
-                events.append(((j, slot(j)), (i, slot(i)), s))
-                budget -= 2
-            else:
-                i = rng.randrange(n)
-                events.append(((i, slot(i)), (i, slot(i)), rng.choice((1, -1))))
-                budget -= 1
-        F = BandSurface.build(twists, tokens, events)
-        problems = validate_surface(F)
-        if problems:
-            raise AssertionError(f"generator produced invalid surface: {problems}")
-        return F
-
-
-def random_normal_form(
-    rng: random.Random,
-    max_pieces: int = 3,
-    max_twist: int = 5,
-    force_zero_framing: bool = False,
-) -> BandSurface:
-    """Ordered boundary connect sum of two-band pieces, each with exactly
-    one odd-twisted band; optionally re-twisted to framing zero."""
-    k = rng.randint(1, max_pieces)
-    odd_choices = [h for h in range(-max_twist, max_twist + 1) if h % 2]
-    even_choices = [h for h in range(-max_twist, max_twist + 1) if h % 2 == 0]
-    twists: list[int] = []
-    attach: list[tuple[int, str]] = []
-    even_bands: list[int] = []
-    for piece in range(k):
-        x, y = 2 * piece, 2 * piece + 1
-        h_odd = rng.choice(odd_choices)
-        h_even = rng.choice(even_choices)
-        if rng.random() < 0.5:
-            twists += [h_odd, h_even]
-            even_bands.append(y)
-        else:
-            twists += [h_even, h_odd]
-            even_bands.append(x)
-        attach += [(x, "A"), (y, "A"), (x, "B"), (y, "B")]
-
-    counters: dict[int, int] = {}
-
-    def slot(b: int) -> int:
-        counters[b] = counters.get(b, -1) + 1
-        return counters[b]
-
-    bare = BandSurface.build(twists, attach)
-    events: list[tuple] = []
-    for (i, j), (ilv, d) in interleave_data(bare).items():
-        if not ilv:
-            continue
-        if rng.random() < 0.5:
-            events.append(((i, slot(i)), (j, slot(j)), -d))
-        else:
-            events.append(((j, slot(j)), (i, slot(i)), d))
-    n = 2 * k
-    extras = rng.randint(0, 3)
-    for _ in range(extras):
-        roll = rng.random()
-        if roll < 0.4 and k >= 2:
-            i, j = rng.sample(range(n), 2)
-            s = rng.choice((1, -1))
-            events.append(((i, slot(i)), (j, slot(j)), s))
-            events.append(((j, slot(j)), (i, slot(i)), s))
-        elif roll < 0.7:
-            i, j = rng.sample(range(n), 2) if n >= 2 else (0, 0)
-            s = rng.choice((1, -1))
-            events.append(((i, slot(i)), (j, slot(j)), s))
-            events.append(((i, slot(i)), (j, slot(j)), -s))
-        else:
-            i = rng.randrange(n)
-            events.append(((i, slot(i)), (i, slot(i)), rng.choice((1, -1))))
-    F = BandSurface.build(twists, attach, events)
-    if force_zero_framing:
-        f = framing(F)
-        # framing of an even-genus surface is 0 mod 4, so the adjustment
-        # keeps the adjusted band even-twisted
-        adjust = even_bands[0]
-        new_twists = list(twists)
-        new_twists[adjust] -= f // 2
-        F = BandSurface.build(new_twists, attach, events)
-    return F
-
-
-def random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
-    """Determinant +-1 integer matrix built from elementary operations."""
-    A = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if n == 0:
-        return A
-    for _ in range(2 * n + rng.randint(0, 3)):
-        roll = rng.random()
-        if n >= 2 and roll < 0.6:
-            i, j = rng.sample(range(n), 2)
-            c = rng.choice((1, -1, 2, -2))
-            for col in range(n):
-                A[i][col] += c * A[j][col]
-        elif n >= 2 and roll < 0.8:
-            i, j = rng.sample(range(n), 2)
-            A[i], A[j] = A[j], A[i]
-        else:
-            i = rng.randrange(n)
-            A[i] = [-x for x in A[i]]
-    return A
-
-
-# ---------------------------------------------------------------------------
-# the randomized verification battery
-
-
-class VerifyProperty(Record):
-    __slots__ = ("name", "cases", "failures", "detail")
-    name: str
-    cases: int
-    failures: int
-    detail: str
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
-
-class VerifySummary(Record):
-    __slots__ = ("seed", "trials", "properties")
-    seed: int
-    trials: int
-    properties: tuple[VerifyProperty, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(p.passed for p in self.properties)
-
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "all_passed": self.all_passed,
-            "properties": [
-                {
-                    "name": p.name,
-                    "cases": p.cases,
-                    "failures": p.failures,
-                    "detail": p.detail,
-                }
-                for p in self.properties
-            ],
-        }
-
-    def to_text(self) -> str:
-        lines = []
-        for p in self.properties:
-            tag = "pass" if p.passed else "FAIL"
-            extra = f" ({p.detail})" if p.detail else ""
-            lines.append(f"{tag}  {p.name}: {p.cases} cases, {p.failures} failures{extra}")
-        lines.append(
-            f"battery: {'all properties hold' if self.all_passed else 'FAILURES PRESENT'}"
-        )
-        return "\n".join(lines)
-
-
-class _Tally:
-    def __init__(self):
-        self.cases = 0
-        self.failures = 0
-        self.detail = ""
-
-    def check(self, condition: bool, detail: str = ""):
-        self.cases += 1
-        if not condition:
-            self.failures += 1
-            if not self.detail:
-                self.detail = detail
-
-
-# Each property checks one law on fixed inputs plus ``trials`` inputs drawn
-# from ``rng``. ``verify_paper`` runs them all; the acceptance tests run
-# each one with their own seed and trial count.
-
-
-def _prop_framing_fixtures(t: _Tally, rng: random.Random, trials: int) -> None:
-    plus = mobius_band((), 1)
-    minus = mobius_band((), -1)
-    t.check(framing(plus) == 2, "Möbius +1")
-    t.check(framing(minus) == -2, "Möbius -1")
-    t.check(framing(boundary_connect_sum(plus, minus)) == 0, "sum 2-2")
-    for p in (-7, -5, -3, -1, 1, 3, 5, 7):
-        t.check(framing(mobius_band((), p)) == 2 * p, f"Möbius h={p}")
-    for p in (-5, -3, -1, 1, 3, 5):
-        t.check(
-            framing(mobius_band(_CORE_FACTORS[1], p)) == 2 * p,
-            f"trefoil-core Möbius h={p}",
-        )
-    for _ in range(min(trials, 25)):
-        core, _delta = random_core(rng)
-        p = rng.choice((-5, -3, -1, 1, 3, 5))
-        t.check(
-            framing(mobius_band(core, p)) == 2 * p,
-            f"mobius_band core w={core_writhe(core)} p={p}",
-        )
-
-
-def _prop_genus_framing(t: _Tally, rng: random.Random, trials: int) -> None:
-    for _ in range(trials):
-        F = random_band_surface(rng, orientable=False)
-        sh = shape(F)
-        f = framing(F)
-        want = 2 if sh.genus % 2 else 0
-        t.check(f % 4 == want, f"nonorientable framing {f}, genus {sh.genus}")
-        t.check(f % 2 == 0, "framing parity")
-    for _ in range(max(1, trials // 2)):
-        F = random_band_surface(rng, orientable=True)
-        t.check(framing(F) == 0, "orientable framing nonzero")
-
-
-def _prop_gamma_law(t: _Tally, rng: random.Random, trials: int) -> None:
-    for i in range(trials):
-        F = random_normal_form(rng, force_zero_framing=(i % 3 == 0))
-        f = framing(F)
-        sl = gamma_self_linking(F)
-        t.check(f == 4 * sl, f"framing {f} != 4*{sl}")
-        t.check((f == 0) == (sl == 0), "zero framing iff zero self-linking")
-
-
-def _prop_signature_bridge(t: _Tally, rng: random.Random, trials: int) -> None:
-    for name in preset_names():
-        pk = get_preset(name)
-        surface = analyze_surface(pk.nonorientable_surface)
-        lhs = signature(pk.seifert)
-        rhs = signature_exact([list(r) for r in surface.gl_form]) - surface.framing // 2
-        t.check(lhs == rhs, f"{name}: {lhs} != {rhs}")
-        sym = signature_exact([list(r) for r in gl_form(pk.orientable_surface)])
-        t.check(lhs == sym, f"{name} orientable GL: {lhs} != {sym}")
-        rep = genus_framing_check(surface, v_orientable=pk.seifert)
-        t.check(rep.verdict == "consistent", f"{name} genus_framing_check")
-
-
-def _prop_invariant_table(t: _Tally, rng: random.Random, trials: int) -> None:
-    for name in preset_names():
-        pk = get_preset(name)
-        t.check(alexander(pk.seifert).to_string() == pk.delta, f"{name} delta")
-        t.check(signature(pk.seifert) == pk.sigma, f"{name} sigma")
-        t.check(determinant_knot(seifert=pk.seifert) == pk.det, f"{name} det (V)")
-        t.check(
-            determinant_knot(gl=pk.gl_nonorientable) == pk.det, f"{name} det (GL)"
-        )
-        t.check(arf(pk.seifert) == pk.arf, f"{name} arf")
-        t.check(
-            seifert_matrix(pk.orientable_surface) == pk.seifert,
-            f"{name} stored orientable surface",
-        )
-        t.check(
-            gl_form(pk.nonorientable_surface) == pk.gl_nonorientable,
-            f"{name} stored GL form",
-        )
-        t.check(
-            framing(pk.nonorientable_surface) == pk.framing_nonorientable,
-            f"{name} stored framing",
-        )
-
-
-def _prop_klein_obstructions(t: _Tally, rng: random.Random, trials: int) -> None:
-    # trials counts bottles: each core pair is built at all six p
-    built = 0
-    while built < trials:
-        core_k, delta_k = random_core(rng)
-        core_j, _delta_j = random_core(rng)
-        for p in (-5, -3, -1, 1, 3, 5):
-            surface = analyze_surface(klein_bottle_for_cables(core_k, core_j, p))
-            t.check(surface.framing == 0, f"framing p={p}")
-            d = determinant_knot(gl=surface.gl_form)
-            t.check(d == p * p, f"det GL {d} != p^2")
-            t.check(d % 8 in (1, 7), f"det mod 8: {d}")
-            t.check(
-                abs(alexander_cable2(delta_k, p).evaluate_int(-1)) == abs(p),
-                "cable determinant",
-            )
-            rep = slice_obstruction_report(surface)
-            t.check(rep.verdict == "consistent", "slice screen on honest bottle")
-            built += 1
-
-
-def _prop_satellite(t: _Tally, rng: random.Random, trials: int) -> None:
-    names = preset_names()
-    for rn in names:
-        for jn in names:
-            v_r = get_preset(rn).seifert
-            v_j = get_preset(jn).seifert
-            dr = alexander(v_r)
-            dj = alexander(v_j)
-            sat = alexander_satellite(dr, dj)
-            t.check(sat == dr * dj.substitute(2), f"{rn},{jn} Δ_R(t) Δ_J(t^2)")
-            t.check(sat.evaluate_int(1) == 1, f"{rn},{jn} value at 1")
-            t.check(sat == sat.substitute(-1), f"{rn},{jn} palindromic")
-            t.check(
-                abs(sat.evaluate_int(-1)) == abs(dr.evaluate_int(-1)),
-                f"{rn},{jn} det at -1",
-            )
-            t.check(arf(sat) == arf(dr), f"{rn},{jn} arf preserved")
-            for omega in DEFAULT_SAMPLES:
-                got = sigma_satellite(v_r, v_j, omega)
-                squared = omega.squared()
-                if squared is None:
-                    t.check(got.singular, "omega^2=1 must be singular")
-                    continue
-                a = levine_tristram(v_r, omega)
-                b = levine_tristram(v_j, squared)
-                if a.singular or b.singular:
-                    t.check(got.singular, "singular propagation")
-                else:
-                    t.check(
-                        got.value == a.value + b.value,
-                        f"{rn},{jn} pointwise sum at {omega.label()}",
-                    )
-
-
-def _prop_homology(t: _Tally, rng: random.Random, trials: int) -> None:
-    inv = fp_abelian_invariants(2, [[-2, 1], [0, 1]])
-    t.check(str(inv) == "Z/2", f"double cover homology gave {inv}")
-    t.check(inv.free_rank == 0 and inv.torsion == (2,), "double cover structure")
-    inv = fp_abelian_invariants(1, [])
-    t.check(inv.free_rank == 1 and inv.torsion == (), "free group")
-    inv = fp_abelian_invariants(2, [[1, 1], [1, -1]])
-    t.check(inv.free_rank == 0 and inv.torsion == (2,), "Z/2 from pairing")
-
-
-def _prop_cable_screen(t: _Tally, rng: random.Random, trials: int) -> None:
-    tref = get_preset("trefoil").seifert
-    unknot = get_preset("unknot").seifert
-    fig8 = get_preset("figure-eight").seifert
-    rep = cable_concordance_check(tref, unknot, 3)
-    t.check(rep.verdict == "obstructed", "trefoil vs unknot must obstruct")
-    leg = next((x for x in rep.tests if x.name == "sigma-match omega=-1"), None)
-    t.check(leg is not None and leg.status == "fail", "obstruction at -1")
-    t.check(
-        leg is not None and "sigma_K = -2, sigma_J = 0" in leg.details,
-        "signatures at -1",
-    )
-    for name in preset_names():
-        v = get_preset(name).seifert
-        for p in (-3, 1, 3, 5):
-            t.check(
-                cable_concordance_check(v, v, p).verdict == "consistent",
-                f"{name} vs itself, p={p}",
-            )
-    t.check(
-        cable_concordance_check(fig8, unknot, 1).verdict == "consistent",
-        "figure-eight signature screen is blind",
-    )
-
-
-def _det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.one()
-    if n == 1:
-        return rows[0][0]
-    total = LaurentPoly.zero()
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def _matmul(a, b) -> list[list[int]]:
-    k = len(b)
-    return [[sum(r[i] * b[i][j] for i in range(k)) for j in range(len(b[0]))] for r in a]
-
-
-def _prop_algebra_oracles(
-    t: _Tally, rng: random.Random, trials: int, det_oracle=_det_cofactor
-) -> None:
-    """det_oracle is the cofactor expansion that det_laurent must match."""
-    for _ in range(trials):
-        n = rng.randint(0, 4)
-        M = [
-            [
-                LaurentPoly(
-                    {
-                        e: rng.randint(-3, 3)
-                        for e in range(rng.randint(-2, 0), rng.randint(0, 3))
-                    }
-                )
-                for _ in range(n)
-            ]
-            for _ in range(n)
-        ]
-        t.check(det_laurent(M) == det_oracle(M), f"det mismatch at n={n}")
-    for _ in range(trials):
-        n = rng.randint(1, 5)
-        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        S = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
-        A = random_unimodular(rng, n)
-        congr = _matmul(_matmul(A, S), transpose(A))
-        t.check(
-            signature_exact(congr) == signature_exact(S),
-            "signature congruence invariance",
-        )
-    for _ in range(trials):
-        rows_n = rng.randint(1, 4)
-        cols_n = rng.randint(1, 4)
-        M = [[rng.randint(-6, 6) for _ in range(cols_n)] for _ in range(rows_n)]
-        P = random_unimodular(rng, rows_n)
-        Q = random_unimodular(rng, cols_n)
-        t.check(
-            smith_normal_form(_matmul(_matmul(P, M), Q)) == smith_normal_form(M),
-            "SNF unimodular invariance",
-        )
-
-
-def _prop_surgery(t: _Tally, rng: random.Random, trials: int) -> None:
-    for _ in range(trials):
-        F = random_normal_form(rng, force_zero_framing=True)
-        sh = shape(F)
-        t.check(framing(F) == 0, "stabilized framing")
-        if sh.genus == 2:
-            after = surgery_shape(sh, True)
-            t.check(
-                after.orientable and after.genus == 0 and after.euler == 1,
-                "genus-2 surgery must give a disk",
-            )
-        else:
-            after = surgery_shape(sh, True)
-            t.check(after.genus == (sh.genus - 2) // 2, "orientable surgery genus")
-            after = surgery_shape(sh, False)
-            t.check(after.genus == sh.genus - 2, "non-orientable surgery genus")
-        Fz = zero_framing_stabilize(
-            random_band_surface(rng, max_bands=4, max_events=6)
-        )
-        t.check(framing(Fz) == 0, "zero_framing_stabilize")
-
-
-# name -> (stream key, property). ``verify_paper`` draws each property's
-# inputs from Random(f"{seed}:{stream key}"); the keys are fixed strings, so
-# renaming a property function moves no draw.
-PROPERTIES = {
-    "framing-fixtures": ("_prop_framing_fixtures", _prop_framing_fixtures),
-    "genus-framing-lemma": ("_prop_genus_framing", _prop_genus_framing),
-    "gamma-law": ("_prop_gamma_law", _prop_gamma_law),
-    "signature-bridge": ("_prop_signature_bridge", _prop_signature_bridge),
-    "invariant-table": ("_prop_invariant_table", _prop_invariant_table),
-    "klein-slice-obstruction": ("_prop_klein_obstructions", _prop_klein_obstructions),
-    "satellite-formulas": ("_prop_satellite", _prop_satellite),
-    "homology-z2": ("_prop_homology", _prop_homology),
-    "cable-screen": ("_prop_cable_screen", _prop_cable_screen),
-    "algebra-oracles": ("_prop_algebra_oracles", _prop_algebra_oracles),
-    "surgery-and-stabilization": ("_prop_surgery", _prop_surgery),
-}
-
-
-def run_property(
-    name: str, rng: random.Random, trials: int, **options
-) -> VerifyProperty:
-    """Check the named battery property on its fixed inputs and on
-    ``trials`` inputs drawn from rng."""
-    t = _Tally()
-    _key, prop = PROPERTIES[name]
-    prop(t, rng, trials, **options)
-    return VerifyProperty(name, t.cases, t.failures, t.detail)
-
-
-def verify_paper(seed: int = 0, trials: int = 100) -> VerifySummary:
-    """Run the whole randomized battery; deterministic in (seed, trials)."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    return VerifySummary(
-        seed,
-        trials,
-        tuple(
-            run_property(name, random.Random(f"{seed}:{key}"), trials)
-            for name, (key, _prop) in PROPERTIES.items()
-        ),
-    )

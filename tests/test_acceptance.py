@@ -1,7 +1,7 @@
 """The ten go/no-go checks, one test each, timed and summarized.
 
 Each criterion runs one property of the ``knotbands verify`` battery
-(``knotbands.obstruct.PROPERTIES``) with its own seed and trial count, so
+(``knotbands.battery.PROPERTIES``) with its own seed and trial count, so
 every law is written once, in the library. Only the comparisons against
 ``tests/oracles.py``, which the library must not import, are written here.
 
@@ -14,8 +14,8 @@ import time
 
 import oracles
 from conftest import record_acceptance
+from knotbands.battery import run_property, verify_paper
 from knotbands.invariants import alexander, arf, determinant_knot, signature
-from knotbands.obstruct import run_property, verify_paper
 from knotbands.presets import get_preset
 
 CRITERION_PROPERTY = {

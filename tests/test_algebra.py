@@ -61,6 +61,17 @@ class TestLaurentPoly:
         assert p.substitute(2) == LaurentPoly({-2: 1, 0: -1, 2: 1})
         assert p.substitute(-1) == p
 
+    @pytest.mark.parametrize("x", [True, 2.0, Fraction(2)])
+    def test_evaluate_int_rejects_non_integers(self, x):
+        # True is not 1 and 2.0 is not 2: LaurentPoly({0: 1, 1: 1}) gave 3
+        with pytest.raises(ValueError, match="evaluation point must be an integer"):
+            LaurentPoly({0: 1, 1: 1}).evaluate_int(x)
+
+    @pytest.mark.parametrize("k", [True, 2.0])
+    def test_substitute_rejects_non_integers(self, k):
+        with pytest.raises(ValueError, match="substitution exponent must be an integer"):
+            LaurentPoly({0: 1, 1: 1}).substitute(k)
+
     @settings(max_examples=60)
     @given(polys, polys, polys)
     def test_ring_laws(self, a, b, c):
@@ -168,7 +179,7 @@ class TestInertia:
     def test_congruence_invariance(self, seed, n):
         import random
 
-        from knotbands.obstruct import random_unimodular
+        from knotbands.battery import random_unimodular
 
         rng = random.Random(seed)
         s = [[0] * n for _ in range(n)]
@@ -212,7 +223,7 @@ class TestSmith:
     def test_unimodular_invariance(self, seed, rows, cols):
         import random
 
-        from knotbands.obstruct import random_unimodular
+        from knotbands.battery import random_unimodular
 
         rng = random.Random(seed)
         m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]

@@ -31,7 +31,7 @@ from knotbands.bandform import (
     validate_surface,
     zero_framing_stabilize,
 )
-from knotbands.obstruct import random_band_surface, random_core, random_normal_form
+from knotbands.battery import random_band_surface, random_core, random_normal_form
 from knotbands.presets import get_preset
 from oracles import validate_diagram
 

@@ -11,6 +11,7 @@ from knotbands.cli import run
 
 TREFOIL_CORE_JSON = "[[0,3,1],[4,1,1],[2,5,1]]"
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+SRC = PYPROJECT.parent / "src"
 
 
 def call(capsys, *args):
@@ -268,6 +269,30 @@ class TestVerify:
         code, _, err = call(capsys, "verify", "--trials", "0")
         assert code == 1
         assert "at least 1" in err
+
+    def test_battery_loads_only_for_verify(self):
+        # a fresh interpreter without site: importing the package, importing
+        # the CLI and running a screen leave knotbands.battery unloaded
+        script = (
+            "import contextlib, io, sys\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            "def loaded():\n"
+            "    return 'knotbands.battery' in sys.modules\n"
+            "import knotbands\n"
+            "seen = [loaded()]\n"
+            "import knotbands.cli\n"
+            "seen.append(loaded())\n"
+            "klein = ['klein', '--presetK', 'trefoil', '--presetJ', 'unknot', '-p', '3']\n"
+            "for argv in (klein, ['verify', '--trials', '1']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        seen.append(knotbands.cli.run(argv))\n"
+            "    seen.append(loaded())\n"
+            "print(seen)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[False, False, 0, False, 0, True]"
 
 
 class TestErrorPaths:

@@ -2,7 +2,8 @@
 
 ``tests/data/cli_golden.json`` maps each command line below to its exit
 code and stdout: JSON for every command, and ``--format text`` as well
-for a few ``klein`` and ``cable`` runs. A change that is meant to alter
+for a few ``klein`` and ``cable`` runs and for one short ``verify`` run,
+which pins the battery's seeded draws. A change that is meant to alter
 CLI output rewrites the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
@@ -45,6 +46,8 @@ def _commands() -> list[tuple[str, ...]]:
     for k, j, p in itertools.product(TEXT_KNOTS, TEXT_KNOTS, (3, -7)):
         cmds.append(text + ("klein", "--presetK", k, "--presetJ", j, "-p", str(p)))
     cmds.append(text + ("cable", "--preset", "trefoil", "-p", "401"))
+    verify = ("verify", "--seed", "0", "--trials", "3")
+    cmds += [verify, text + verify]
     return cmds
 
 

@@ -17,7 +17,7 @@ from collections import Counter
 from pathlib import Path
 
 from knotbands.bandform import compile_curves, klein_bottle_for_cables
-from knotbands.obstruct import random_band_surface, random_normal_form
+from knotbands.battery import random_band_surface, random_normal_form
 from knotbands.presets import get_preset, preset_names
 
 DATA = Path(__file__).parent / "data" / "compiled_crossings.json"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from knotbands import algebra, invariants
 from knotbands.algebra import LaurentPoly, inertia
+from knotbands.battery import random_unimodular
 from knotbands.invariants import (
     DEFAULT_SAMPLES,
     Omega,
@@ -21,7 +22,6 @@ from knotbands.invariants import (
     signature,
     torus2_alexander,
 )
-from knotbands.obstruct import random_unimodular
 from knotbands.presets import get_preset
 
 TREFOIL = get_preset("trefoil").seifert
@@ -237,6 +237,12 @@ class TestTorusAndCables:
     def test_torus2_rejects_even(self):
         with pytest.raises(ValueError, match="p must be odd"):
             torus2_alexander(4)
+
+    @pytest.mark.parametrize("p", [True, 3.0])
+    def test_torus2_rejects_non_integers(self, p):
+        # True was p = 1, and 3.0 raised TypeError
+        with pytest.raises(ValueError, match="p must be an integer"):
+            torus2_alexander(p)
 
     def test_cable_fixtures(self):
         d = alexander(TREFOIL)

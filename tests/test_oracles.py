@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from knotbands.algebra import det_int
 from knotbands.bandform import seifert_matrix
+from knotbands.battery import random_band_surface
 from knotbands.invariants import (
     DEFAULT_SAMPLES,
     Omega,
@@ -26,7 +27,6 @@ from knotbands.invariants import (
     levine_tristram,
     signature,
 )
-from knotbands.obstruct import random_band_surface, sigma_squared_check
 
 # name, braid word, Alexander polynomial, signature, determinant, arf
 CALIBRATION = [
@@ -119,12 +119,22 @@ class TestCableRoundTrip:
         assert arf(v_cable) == 0
         assert oracles.arf_symplectic(v_cable) == 0
 
-    def test_cable_satisfies_squared_signature_screen(self):
+    def test_cable_signature_is_companion_signature_at_omega_squared(self):
+        # sigma_{K_(2,1)}(omega) = sigma_K(omega^2) wherever omega^2 != 1
         v_cable = oracles.seifert_from_braid(oracles.CABLE21_TREFOIL_WORD)
         v_tref = oracles.seifert_from_braid(oracles.RIGHT_TREFOIL_WORD)
-        report = sigma_squared_check(v_cable, v_tref)
-        assert report.verdict == "consistent"
-        assert [t.status for t in report.tests] == ["skipped-singular"] + ["pass"] * 5
+        compared = []
+        for omega in DEFAULT_SAMPLES:
+            squared = omega.squared()
+            if squared is None:  # omega = -1: the law says nothing there
+                continue
+            a = levine_tristram(v_cable, omega)
+            b = levine_tristram(v_tref, squared)
+            assert not a.singular and not b.singular
+            assert a.value == b.value, omega.label()
+            compared.append(omega.label())
+        assert compared == [o.label() for o in DEFAULT_SAMPLES[1:]]
+        assert DEFAULT_SAMPLES[0] == Omega.minus_one()
 
 
 class TestArfOracle:

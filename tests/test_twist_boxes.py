@@ -24,7 +24,7 @@ from knotbands.bandform import (
     seifert_matrix,
     twist_box_counts,
 )
-from knotbands.obstruct import random_band_surface, random_core, random_normal_form
+from knotbands.battery import random_band_surface, random_core, random_normal_form
 
 MAX_BANDS = 6
 
