@@ -299,6 +299,12 @@ def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
     repaired by a symmetric row/column addition, which realizes the
     classical hyperbolic-pair step without leaving exact arithmetic.
     Entries must be ints or Fractions; floats and bools are rejected.
+
+    Elimination works on one triangle: pivot k's multipliers come from
+    row k (a[i][k] = a[k][i]), each row i > k updates only its columns
+    j >= i, and every new value is copied into a[j][i], so the trailing
+    block stays a full symmetric matrix for the swap and repair steps.
+    Row and column k are never read again and are left as they are.
     """
     n = _square_size(rows)
     for row in rows:
@@ -333,15 +339,14 @@ def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
             pos += 1
         else:
             neg += 1
+        ak = a[k]
         for i in range(k + 1, n):
-            f = a[i][k] / d
+            f = ak[i] / d
             if f == 0:
                 continue
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-        for j in range(k + 1, n):
-            a[k][j] = Fraction(0)
-            a[j][k] = Fraction(0)
+            ai = a[i]
+            for j in range(i, n):
+                ai[j] = a[j][i] = ai[j] - f * ak[j]
     zero = n - pos - neg
     return pos, neg, zero
 

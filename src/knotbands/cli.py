@@ -123,6 +123,7 @@ def _cmd_invariants(args) -> int:
     else:
         v = _load_json_arg(args.seifert)
     samples = _samples(args)
+    delta = alexander(v)  # rejects a degenerate matrix before any signature
     table = []
     for omega in samples:
         s = levine_tristram(v, omega)
@@ -133,7 +134,6 @@ def _cmd_invariants(args) -> int:
                 "singular": s.singular,
             }
         )
-    delta = alexander(v)
     payload = {
         "alexander": delta.to_string(),
         "signature": signature(v),

@@ -90,12 +90,14 @@ class Omega(Record):
                 raise ValueError("only omega = -1 is addressable directly; use s")
             return Omega.minus_one()
         if "s" in data:
+            s = data["s"]
+            # 0.5 and true are rejected, not read as 1/2 and "True"
+            if type(s) not in (int, str):
+                raise ValueError(f"s must be a JSON integer or a string, got {s!r}")
             try:
-                return Omega.from_s(Fraction(str(data["s"])))
+                return Omega.from_s(s)
             except ZeroDivisionError:  # "1/0"
-                raise ValueError(
-                    f"s must be a rational number, got {data['s']!r}"
-                ) from None
+                raise ValueError(f"s must be a rational number, got {s!r}") from None
         raise ValueError("sample point needs an 'omega' or 's' field")
 
 

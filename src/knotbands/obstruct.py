@@ -30,11 +30,11 @@ from .record import Record
 class TestResult(Record):
     __slots__ = ("name", "status", "details")
     name: str
-    status: str  # "pass" | "fail" | "skipped-singular"
+    status: str  # "pass" | "fail"
     details: str
 
     def __post_init__(self):
-        if self.status not in ("pass", "fail", "skipped-singular"):
+        if self.status not in ("pass", "fail"):
             raise ValueError(f"unknown test status {self.status!r}")
 
 
@@ -155,23 +155,26 @@ def cable_concordance_check(
         raise ValueError(f"p must be an integer, got {p!r}")
     if p % 2 == 0:
         raise ValueError("p must be odd")
+    # alexander rejects every matrix with |Delta(1)| != 1, and then no
+    # sample is a root of Delta: Delta(-1) = 0 would make Delta(1) even,
+    # and any other sample (a + ib)/c in lowest terms has the primitive
+    # minimal polynomial c t^2 - 2a t + c, whose value 2(c - a) at t = 1
+    # would divide Delta(1). So both sides are checked first, and no
+    # sigma leg is singular.
+    delta_k, delta_j = alexander(v_k), alexander(v_j)
     tests = []
     for omega in DEFAULT_SAMPLES if samples is None else samples:
-        name = f"sigma-match {omega.label()}"
-        sk = levine_tristram(v_k, omega)
-        sj = levine_tristram(v_j, omega)
-        if sk.singular or sj.singular:
-            tests.append(TestResult(name, "skipped-singular", "Alexander root on one side"))
-        else:
-            tests.append(
-                TestResult(
-                    name,
-                    "pass" if sk.value == sj.value else "fail",
-                    f"sigma_K = {sk.value}, sigma_J = {sj.value}",
-                )
+        sk = levine_tristram(v_k, omega).value
+        sj = levine_tristram(v_j, omega).value
+        tests.append(
+            TestResult(
+                f"sigma-match {omega.label()}",
+                "pass" if sk == sj else "fail",
+                f"sigma_K = {sk}, sigma_J = {sj}",
             )
-    dk = abs(alexander_cable2(alexander(v_k), p).evaluate_int(-1))
-    dj = abs(alexander_cable2(alexander(v_j), p).evaluate_int(-1))
+        )
+    dk = abs(alexander_cable2(delta_k, p).evaluate_int(-1))
+    dj = abs(alexander_cable2(delta_j, p).evaluate_int(-1))
     tests.append(
         TestResult(
             "cable-determinant",

@@ -5,7 +5,9 @@ library takes: determinants by cofactor expansion, Arf from a symplectic
 basis of the mod-2 intersection form, twist-box crossings by braiding the
 strands one half twist at a time, Seifert matrices read brick by brick
 off braid words, and Levine-Tristram signatures from the rational cos/sin
-coordinates of the sample point. ``det_int_laurent`` and
+coordinates of the sample point, diagonalized by ``inertia_lagrange``,
+the full-update elimination that the library's one-triangle ``inertia``
+replaced. ``det_int_laurent`` and
 ``determinant_via_alexander`` take the integer and knot determinants
 through the Laurent ring (det_laurent, alexander), the reference for the
 integer Bareiss path.
@@ -17,7 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from knotbands import LaurentPoly, alexander, det_laurent, inertia
+from knotbands import LaurentPoly, alexander, det_laurent
+from knotbands.algebra import _square_size, is_symmetric
 from knotbands.diagram import CrossingList
 
 
@@ -97,6 +100,72 @@ def arf_symplectic(v) -> int:
     return arf
 
 
+def inertia_lagrange(rows) -> tuple[int, int, int]:
+    """(positive, negative, zero) inertia by Lagrange congruence over Q
+    with the full update: every entry right of the pivot column in every
+    row below the pivot, so both triangles are eliminated and row and
+    column k are zeroed after step k."""
+    n = _square_size(rows)
+    for row in rows:
+        for x in row:
+            if type(x) is not int and not isinstance(x, Fraction):
+                raise ValueError(
+                    f"matrix entries must be integers or Fractions, got {x!r}"
+                )
+    if not is_symmetric(rows):
+        raise ValueError("matrix must be symmetric")
+    a = [[Fraction(rows[i][j]) for j in range(n)] for i in range(n)]
+    pos = neg = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if j is not None:
+                _sym_swap(a, k, j)
+            else:
+                pair = _first_offdiag(a, k)
+                if pair is None:
+                    break  # remaining block is identically zero
+                i, j = pair
+                if i != k:
+                    _sym_swap(a, k, i)
+                    j = i if j == k else j
+                for col in range(k, n):
+                    a[k][col] += a[j][col]
+                for row in range(k, n):
+                    a[row][k] += a[row][j]
+        d = a[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            f = a[i][k] / d
+            if f == 0:
+                continue
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+        for j in range(k + 1, n):
+            a[k][j] = Fraction(0)
+            a[j][k] = Fraction(0)
+    zero = n - pos - neg
+    return pos, neg, zero
+
+
+def _sym_swap(a, i, j) -> None:
+    a[i], a[j] = a[j], a[i]
+    for row in a:
+        row[i], row[j] = row[j], row[i]
+
+
+def _first_offdiag(a, k):
+    n = len(a)
+    for i in range(k, n):
+        for j in range(i + 1, n):
+            if a[i][j] != 0:
+                return i, j
+    return None
+
+
 def omega_trig(s) -> tuple[Fraction, Fraction]:
     """(cos, sin) of the sample point named by s: the Pythagorean point
     ((1-s^2)/(1+s^2), 2s/(1+s^2)), or (-1, 0) for s = None."""
@@ -119,7 +188,7 @@ def levine_tristram_trig(v, cos, sin) -> int | None:
     im = [[sin * (v[j][i] - v[i][j]) for j in range(n)] for i in range(n)]
     big = [r + [-x for x in m] for r, m in zip(re, im)]
     big += [m + r for r, m in zip(re, im)]
-    pos, neg, zero = inertia(big)
+    pos, neg, zero = inertia_lagrange(big)
     return None if zero else (pos - neg) // 2
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from knotbands import BandSurface, bandform, cli, framing
+from knotbands import BandSurface, bandform, cli, framing, obstruct
 from knotbands.cli import run
 
 TREFOIL_CORE_JSON = "[[0,3,1],[4,1,1],[2,5,1]]"
@@ -331,6 +331,25 @@ class TestErrorPaths:
         code, _, err = call(capsys, "invariants", "--seifert", "[[0,0],[0,1]]")
         assert code == 1 and "degenerate presentation" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("invariants", "--seifert", "[[0,0],[0,1]]"),
+            ("obstruct-cable", "--K", '{"seifert":[[0,0],[0,1]]}', "--presetJ", "trefoil", "-p", "1"),
+            ("obstruct-cable", "--presetK", "trefoil", "--J", '{"seifert":[[0,0],[0,1]]}', "-p", "1"),
+        ],
+        ids=["invariants", "obstruct-cable-K", "obstruct-cable-J"],
+    )
+    def test_degenerate_matrix_fails_before_any_signature(self, capsys, monkeypatch, argv):
+        def no_signatures(*args):
+            raise AssertionError("levine_tristram ran on a degenerate matrix")
+
+        monkeypatch.setattr(cli, "levine_tristram", no_signatures)
+        monkeypatch.setattr(obstruct, "levine_tristram", no_signatures)
+        code, out, err = call(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: degenerate presentation: zero Alexander determinant\n"
+
 
 SURFACE_1_9 = '{"bands":[{"half_twists":1.9}],"attach":[[0,"A"],[0,"B"]],"route":[]}'
 SURFACE_TRUE = '{"bands":[{"half_twists":true}],"attach":[[0,"A"],[0,"B"]],"route":[]}'
@@ -392,6 +411,26 @@ class TestMalformedSamples:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "samples, shown",
+        [('[{"s":0.5}]', "0.5"), ('[{"s":true}]', "True"), ('[{"s":null}]', "None")],
+        ids=["float-s", "bool-s", "null-s"],
+    )
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ("invariants", "--preset", "trefoil"),
+            ("obstruct-cable", "--presetK", "trefoil", "--presetJ", "unknot", "-p", "3"),
+        ],
+        ids=["invariants", "obstruct-cable"],
+    )
+    def test_s_is_an_integer_or_a_string(self, capsys, verb, samples, shown):
+        # {"s": 0.5} was read as s = 1/2, and {"s": true} failed inside Fraction
+        code, out, err = call(capsys, *verb, "--samples", samples)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: s must be a JSON integer or a string, got {shown}\n"
 
 
 class TestMalformedRelations:

@@ -91,6 +91,7 @@ class TestOmega:
             assert Omega.from_json(w.to_json()) == w
         assert Omega.from_json({"omega": -1}) == Omega.minus_one()
         assert Omega.from_json({"s": "1/2"}) == Omega.from_s(Fraction(1, 2))
+        assert Omega.from_json({"s": -2}) == Omega(Fraction(-2))
 
     def test_json_errors(self):
         for data, message in [
@@ -100,6 +101,11 @@ class TestOmega:
             ({}, "'omega' or 's'"),
             ({"s": "1/0"}, "s must be a rational number"),
             ({"s": "abc"}, "Invalid literal"),
+            # 0.5 is not s = 1/2, and true is not the string "True"
+            ({"s": 0.5}, r"s must be a JSON integer or a string, got 0\.5"),
+            ({"s": True}, "s must be a JSON integer or a string, got True"),
+            ({"s": None}, "s must be a JSON integer or a string, got None"),
+            ({"s": [1, 2]}, "s must be a JSON integer or a string"),
             ([1], "must be a JSON object"),
             (1, "must be a JSON object"),
         ]:

@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from knotbands import obstruct
 from knotbands.bandform import BandSurface, analyze_surface, klein_bottle_for_cables, shape
 from knotbands.battery import random_core
+from knotbands.invariants import DEFAULT_SAMPLES, Omega, alexander, levine_tristram
 from knotbands.obstruct import (
     ObstructionReport,
     TestResult as CheckResult,
@@ -23,7 +26,9 @@ class TestReports:
     def test_status_vocabulary(self):
         with pytest.raises(ValueError, match="unknown test status"):
             CheckResult("x", "maybe", "")
-        CheckResult("x", "skipped-singular", "")
+        # no sigma leg can be singular once alexander accepts both sides
+        with pytest.raises(ValueError, match="unknown test status"):
+            CheckResult("x", "skipped-singular", "")
 
     def test_duplicate_names_rejected(self):
         t = CheckResult("same", "pass", "")
@@ -33,8 +38,6 @@ class TestReports:
     def test_verdict(self):
         ok = ObstructionReport((CheckResult("a", "pass", ""),))
         assert ok.verdict == "consistent"
-        skipped = ObstructionReport((CheckResult("a", "skipped-singular", ""),))
-        assert skipped.verdict == "consistent"
         bad = ObstructionReport(
             (CheckResult("a", "pass", ""), CheckResult("b", "fail", ""))
         )
@@ -145,6 +148,37 @@ class TestCableCheck:
         # the determinant leg needs a genuine Alexander polynomial
         with pytest.raises(ValueError, match="degenerate presentation"):
             cable_concordance_check(((0, 0), (0, 1)), TREFOIL, 1)
+
+    def test_degenerate_matrix_rejected_before_any_signature(self, monkeypatch):
+        # both Alexander polynomials come first, on either side
+        def no_signatures(*args):
+            raise AssertionError("levine_tristram ran on a degenerate matrix")
+
+        monkeypatch.setattr(obstruct, "levine_tristram", no_signatures)
+        degenerate = ((0, 0), (0, 1))
+        for v_k, v_j in ((degenerate, TREFOIL), (TREFOIL, degenerate)):
+            with pytest.raises(ValueError, match="degenerate presentation"):
+                cable_concordance_check(v_k, v_j, 1)
+
+    def test_no_sigma_leg_is_singular(self):
+        # whenever alexander accepts V (|Delta(1)| = 1), no rational
+        # sample is a root of Delta, so no sigma leg needs a skip
+        rng = random.Random(5)
+        samples = list(DEFAULT_SAMPLES) + [
+            Omega(rng.choice((1, -1)) * Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            for _ in range(12)
+        ]
+        accepted = 0
+        while accepted < 40:
+            n = rng.choice((2, 4))
+            v = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            try:
+                alexander(v)
+            except ValueError:
+                continue
+            accepted += 1
+            for w in samples:
+                assert not levine_tristram(v, w).singular, (v, w)
 
     def test_rejects_even_p(self):
         with pytest.raises(ValueError, match="p must be odd"):

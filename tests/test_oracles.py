@@ -316,3 +316,88 @@ class TestIntegerDeterminantOracle:
         assert valid >= 900
         kinds = ("zero Alexander determinant", "cannot be centered", "at t=1")
         assert all(any(k in e for e in errors) for k in kinds), errors
+
+
+def _random_symmetric(rng: random.Random, n: int) -> list:
+    """A random n x n symmetric matrix of one of five shapes, with int or
+    Fraction entries."""
+    kind = rng.randrange(5)
+    if kind == 3:  # low rank: a sum of r terms +-v v^T
+        m = [[0] * n for _ in range(n)]
+        for _ in range(rng.randint(1, max(n // 2, 1))):
+            v = [rng.randint(-2, 2) for _ in range(n)]
+            e = rng.choice((1, -1))
+            for i in range(n):
+                for j in range(n):
+                    m[i][j] += e * v[i] * v[j]
+    elif kind == 4:  # block diagonal, blocks of any other shape
+        m = [[0] * n for _ in range(n)]
+        lo = 0
+        while lo < n:
+            size = rng.randint(1, n - lo)
+            block = _random_symmetric(rng, size)
+            for i in range(size):
+                m[lo + i][lo : lo + size] = block[i]
+            lo += size
+    else:
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if kind == 0:  # dense
+                    x = rng.randint(-3, 3)
+                else:  # sparse, or sparse with a zero diagonal
+                    x = rng.choice((0, 0, 0, 1, -1, 2))
+                    if kind == 2 and i == j:
+                        x = 0
+                m[i][j] = m[j][i] = x
+    if rng.random() < 0.3:  # Fractions, odd entries off by 1/3 for mixed denominators
+        den = rng.randint(2, 5)
+        m = [[Fraction(x, den) + (x % 2) * Fraction(1, 3) for x in row] for row in m]
+    return m
+
+
+class TestInertiaOracle:
+    """The one-triangle inertia against the full-update elimination it
+    replaced, with the swap and hyperbolic-repair branches both taken."""
+
+    def test_agrees_on_random_and_realified_matrices(self, monkeypatch):
+        from knotbands import algebra, invariants
+
+        hits = {"swap": 0, "repair": 0}
+        sym_swap, first_offdiag = algebra._sym_swap, algebra._first_offdiag
+
+        def counting_swap(a, i, j):
+            hits["swap"] += 1
+            sym_swap(a, i, j)
+
+        def counting_offdiag(a, k):
+            pair = first_offdiag(a, k)
+            hits["repair"] += pair is not None
+            return pair
+
+        monkeypatch.setattr(algebra, "_sym_swap", counting_swap)
+        monkeypatch.setattr(algebra, "_first_offdiag", counting_offdiag)
+
+        rng = random.Random(14)
+        # sizes 0-12, smaller ones more often: n is the least of two draws
+        sizes = [min(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(2700)]
+        matrices = [_random_symmetric(rng, n) for n in sizes]
+        realified = []
+
+        def keep(rows):
+            realified.append(rows)
+            return algebra.inertia(rows)
+
+        monkeypatch.setattr(invariants, "inertia", keep)
+        while len(realified) < 300:
+            v = _random_braid_seifert(rng)
+            if len(v) <= 6:
+                for w in DEFAULT_SAMPLES:
+                    levine_tristram(v, w)
+        matrices += realified
+        fractions = 0
+        for m in matrices:
+            assert algebra.inertia(m) == oracles.inertia_lagrange(m), m
+            fractions += any(type(x) is Fraction for row in m for x in row)
+        assert len(matrices) >= 3000 and fractions >= 500
+        assert hits["swap"] >= 100 and hits["repair"] >= 100, hits

@@ -78,7 +78,7 @@ EXAMPLES = {
         lambda: analyze_surface(mobius_band((), -3)),
     ),
     SurfaceShape: (lambda: SurfaceShape(False, 2, -1, 1), lambda: SurfaceShape(True, 1, -1, 1)),
-    Result: (lambda: _result(), lambda: _result("skipped-singular")),
+    Result: (lambda: _result(), lambda: _result("fail")),
     VerifyProperty: (lambda: _prop(), lambda: _prop(1)),
     VerifySummary: (
         lambda: VerifySummary(0, 10, (_prop(),)),
