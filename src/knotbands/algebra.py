@@ -134,36 +134,6 @@ class LaurentPoly:
             raise ValueError("evaluation is not an integer")
         return int(total)
 
-    def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact division in Z[t, t^-1]; raises ValueError if not exact."""
-        other = _coerce(other)
-        if other is NotImplemented or other.is_zero:
-            raise ValueError("division by zero polynomial")
-        if self.is_zero:
-            return LaurentPoly.zero()
-        shift = self.min_exp - other.min_exp
-        num = {e - self.min_exp: v for e, v in self._c.items()}
-        den = {e - other.min_exp: v for e, v in other._c.items()}
-        dend = max(den)
-        dlead = den[dend]
-        quot: dict[int, int] = {}
-        while num:
-            nd = max(num)
-            if nd < dend:
-                raise ValueError("inexact polynomial division")
-            q, r = divmod(num[nd], dlead)
-            if r != 0:
-                raise ValueError("inexact polynomial division")
-            quot[nd - dend] = q
-            for e, v in den.items():
-                ne = e + nd - dend
-                nv = num.get(ne, 0) - q * v
-                if nv:
-                    num[ne] = nv
-                else:
-                    num.pop(ne, None)
-        return LaurentPoly({e + shift: v for e, v in quot.items()})
-
     def to_string(self) -> str:
         if not self._c:
             return "0"
@@ -204,42 +174,6 @@ def _square_size(rows: Sequence[Sequence]) -> int:
     return n
 
 
-def det_laurent(rows: Sequence[Sequence[LaurentPoly | int]]) -> LaurentPoly:
-    """Exact determinant of a square matrix over Z[t, t^-1].
-
-    Fraction-free Bareiss elimination; every intermediate division is
-    exact in the Laurent ring. The empty matrix has determinant 1.
-    """
-    n = _square_size(rows)
-    if n == 0:
-        return LaurentPoly.one()
-    a = []
-    for row in rows:
-        out = []
-        for entry in row:
-            v = _coerce(entry)
-            if v is NotImplemented:
-                raise ValueError("entries must be LaurentPoly or int")
-            out.append(v)
-        a.append(out)
-    sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if not a[i][k].is_zero), None)
-        if piv is None:
-            return LaurentPoly.zero()
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
-            a[i][k] = LaurentPoly.zero()
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return result if sign > 0 else -result
-
-
 def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (empty matrix -> 1).
 
@@ -247,7 +181,8 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     after step k every entry of the trailing block is a (k+1)-minor of the
     input, so the division by the previous pivot is exact and ``//`` never
     rounds. A row swap flips the sign. Entries must be ints; floats, bools
-    and LaurentPoly entries are rejected (use det_laurent for the latter).
+    and LaurentPoly entries are rejected. This is the library's one
+    elimination for determinants; det_pencil builds det(A + tB) from it.
     """
     n = _square_size(rows)
     a = []
@@ -277,6 +212,42 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
                 ri[j] = (akk * ri[j] - aik * rk[j]) // prev
         prev = akk
     return sign * a[n - 1][n - 1]
+
+
+def det_pencil(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> LaurentPoly:
+    """det(A + tB) for square integer matrices A and B of one size.
+
+    P(x) = det(A + xB) has degree at most n and leading coefficient
+    det(B). In Newton's form P(x) = sum_k c_k x(x-1)...(x-k+1) that makes
+    c_n = det(B), and c_k for k < n is the k-th forward difference of the
+    values at x = 0..n-1 over k!, exact with ``//`` because P has integer
+    coefficients. Horner's rule then expands the form in powers of t.
+    Every value is one det_int, and det_int(A) and det_int(B) check the
+    entries. The empty matrix gives 1.
+    """
+    values = [det_int(a)]
+    top = det_int(b)
+    n = len(a)
+    if len(b) != n:
+        raise ValueError("matrices must have one size")
+    values += [
+        det_int([[u + x * v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)])
+        for x in range(1, n)
+    ]
+    newton = []
+    factorial = 1
+    for k in range(n):
+        factorial *= k or 1
+        newton.append(values[0] // factorial)
+        values = [q - p for p, q in zip(values, values[1:])]
+    # coeffs, lowest power first, of c_k + (x - k)(c_{k+1} + ...)
+    coeffs = [top]
+    for k in range(n - 1, -1, -1):
+        coeffs = [0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= k * coeffs[i + 1]
+        coeffs[0] += newton[k]
+    return LaurentPoly(dict(enumerate(coeffs)))
 
 
 def transpose(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

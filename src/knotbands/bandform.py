@@ -119,15 +119,14 @@ class BandSurface(Record):
 
     @staticmethod
     def from_json(data: dict) -> "BandSurface":
-        """Accepts attach entries as ["band", i, "end", "A"] or plain [i, "A"]."""
+        """Accepts attach entries as ["band", i, "end", "A"] or plain [i, "A"]
+        and route passages as [band, slot]; longer lists are not cut short."""
         try:
             bands = [b["half_twists"] for b in data["bands"]]
             attach = []
-            for entry in data["attach"]:
-                if len(entry) == 4:
-                    attach.append((entry[1], entry[3]))
-                else:
-                    attach.append((entry[0], entry[1]))
+            for e in data["attach"]:
+                keyed = len(e) == 4 and list(e[::2]) == ["band", "end"]
+                attach.append(_pair(e[1::2] if keyed else e, "attach entry"))
             route = [(ev["over"], ev["under"], ev["sign"]) for ev in data["route"]]
             return BandSurface.build(bands, attach, route)
         except (KeyError, TypeError, IndexError, ValueError) as exc:
@@ -149,10 +148,17 @@ def _int(x, what: str) -> int:
     return x
 
 
+def _pair(x, what: str):
+    if not isinstance(x, (list, tuple)) or len(x) != 2:
+        raise ValueError(f"{what} must be a pair, got {x!r}")
+    return x
+
+
 def _as_event(ev) -> RouteEvent:
     if isinstance(ev, RouteEvent):
         return ev
     over, under, sign = ev
+    over, under = _pair(over, "route passage"), _pair(under, "route passage")
     return RouteEvent(
         (_int(over[0], "route band"), _int(over[1], "route slot")),
         (_int(under[0], "route band"), _int(under[1], "route slot")),

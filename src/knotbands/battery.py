@@ -13,7 +13,7 @@ import random
 
 from .algebra import (
     LaurentPoly,
-    det_laurent,
+    det_pencil,
     fp_abelian_invariants,
     signature_exact,
     smith_normal_form,
@@ -528,22 +528,17 @@ def _matmul(a, b) -> list[list[int]]:
 def _prop_algebra_oracles(
     t: _Tally, rng: random.Random, trials: int, det_oracle=_det_cofactor
 ) -> None:
-    """det_oracle is the cofactor expansion that det_laurent must match."""
+    """det_oracle is the cofactor expansion over Z[t, t^-1] that
+    det_pencil(A, B) must match on A + tB."""
     for _ in range(trials):
         n = rng.randint(0, 4)
-        M = [
-            [
-                LaurentPoly(
-                    {
-                        e: rng.randint(-3, 3)
-                        for e in range(rng.randint(-2, 0), rng.randint(0, 3))
-                    }
-                )
-                for _ in range(n)
-            ]
-            for _ in range(n)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        pencil = [
+            [LaurentPoly({0: u, 1: v}) for u, v in zip(ra, rb)]
+            for ra, rb in zip(A, B)
         ]
-        t.check(det_laurent(M) == det_oracle(M), f"det mismatch at n={n}")
+        t.check(det_pencil(A, B) == det_oracle(pencil), f"det mismatch at n={n}")
     for _ in range(trials):
         n = rng.randint(1, 5)
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .algebra import (
     LaurentPoly,
     det_int,
-    det_laurent,
+    det_pencil,
     inertia,
     signature_exact,
 )
@@ -84,6 +84,8 @@ class Omega(Record):
     def from_json(data: dict) -> "Omega":
         if not isinstance(data, dict):
             raise ValueError(f"sample point must be a JSON object, got {data!r}")
+        if "omega" in data and "s" in data:
+            raise ValueError(f"sample point names both omega and s: {data!r}")
         if "omega" in data:
             # -1.0 and true are rejected like every other non-integer
             if type(data["omega"]) is not int or data["omega"] != -1:
@@ -146,12 +148,8 @@ def _normalize_alexander(p: LaurentPoly) -> LaurentPoly:
 def alexander(seifert) -> LaurentPoly:
     """det(V - t V^T), symmetric under t <-> 1/t and +1 at t=1."""
     V = _as_matrix(seifert)
-    n = len(V)
-    entries = [
-        [LaurentPoly({0: V[i][j], 1: -V[j][i]}) for j in range(n)]
-        for i in range(n)
-    ]
-    return _normalize_alexander(det_laurent(entries))
+    minus_vt = [[-x for x in col] for col in zip(*V)]
+    return _normalize_alexander(det_pencil(V, minus_vt))
 
 
 def _det_symmetrized(seifert) -> int:

@@ -7,20 +7,25 @@ strands one half twist at a time, Seifert matrices read brick by brick
 off braid words, and Levine-Tristram signatures from the rational cos/sin
 coordinates of the sample point, diagonalized by ``inertia_lagrange``,
 the full-update elimination that the library's one-triangle ``inertia``
-replaced. ``det_int_laurent`` and
-``determinant_via_alexander`` take the integer and knot determinants
-through the Laurent ring (det_laurent, alexander), the reference for the
-integer Bareiss path.
+replaced. ``det_laurent`` is Bareiss elimination over Z[t, t^-1] with
+its own exact polynomial division, the route the library took before
+``det_pencil`` read det(A + tB) off integer determinants;
+``alexander_laurent``, ``det_int_laurent`` and
+``determinant_via_alexander`` go through it, the reference for
+``alexander``, ``det_int`` and the knot determinant.
 ``validate_diagram`` checks that the signed crossings between components
 the curve compiler emits have signs +-1 and name components that exist.
+``relabel_bands``, ``rotate_attach`` and ``mirror_surface`` are surface
+moves with a known effect on the Gordon-Litherland form, the framing and
+the Seifert matrix, for metamorphic tests of the curve compiler.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from knotbands import LaurentPoly, alexander, det_laurent
-from knotbands.algebra import _square_size, is_symmetric
+from knotbands import BandSurface, LaurentPoly
+from knotbands.algebra import _coerce, _square_size, is_symmetric
 from knotbands.diagram import CrossingList
 
 
@@ -54,14 +59,102 @@ def det_cofactor(rows) -> LaurentPoly:
     return rec(grid)
 
 
+def _exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """Exact division in Z[t, t^-1]; raises ValueError if not exact."""
+    if den.is_zero:
+        raise ValueError("division by zero polynomial")
+    if num.is_zero:
+        return LaurentPoly.zero()
+    shift = num.min_exp - den.min_exp
+    rest = {e - num.min_exp: v for e, v in num._c.items()}
+    div = {e - den.min_exp: v for e, v in den._c.items()}
+    dend = max(div)
+    dlead = div[dend]
+    quot: dict[int, int] = {}
+    while rest:
+        nd = max(rest)
+        if nd < dend:
+            raise ValueError("inexact polynomial division")
+        q, r = divmod(rest[nd], dlead)
+        if r != 0:
+            raise ValueError("inexact polynomial division")
+        quot[nd - dend] = q
+        for e, v in div.items():
+            ne = e + nd - dend
+            nv = rest.get(ne, 0) - q * v
+            if nv:
+                rest[ne] = nv
+            else:
+                rest.pop(ne, None)
+    return LaurentPoly({e + shift: v for e, v in quot.items()})
+
+
+def det_laurent(rows) -> LaurentPoly:
+    """Exact determinant of a square matrix over Z[t, t^-1].
+
+    Fraction-free Bareiss elimination; every intermediate division is
+    exact in the Laurent ring. The empty matrix has determinant 1.
+    """
+    n = _square_size(rows)
+    if n == 0:
+        return LaurentPoly.one()
+    a = []
+    for row in rows:
+        out = []
+        for entry in row:
+            v = _coerce(entry)
+            if v is NotImplemented:
+                raise ValueError("entries must be LaurentPoly or int")
+            out.append(v)
+        a.append(out)
+    sign = 1
+    prev = LaurentPoly.one()
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if not a[i][k].is_zero), None)
+        if piv is None:
+            return LaurentPoly.zero()
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = _exact_div(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
+            a[i][k] = LaurentPoly.zero()
+        prev = a[k][k]
+    result = a[n - 1][n - 1]
+    return result if sign > 0 else -result
+
+
+def alexander_laurent(v) -> LaurentPoly:
+    """det_laurent(V - tV^T) moved to centred support and +1 at t = 1,
+    or the ValueError text alexander raises for a degenerate V."""
+    p = det_laurent(laurent_pencil(v, [[-x for x in col] for col in zip(*v)]))
+    if p.is_zero:
+        raise ValueError("degenerate presentation: zero Alexander determinant")
+    lo, hi = p.min_exp, p.max_exp
+    if (lo + hi) % 2:
+        raise ValueError("degenerate presentation: support cannot be centered")
+    at_one = sum(p._c.values())
+    if at_one not in (1, -1):
+        raise ValueError(f"degenerate presentation: value {at_one} at t=1")
+    return LaurentPoly({e - (lo + hi) // 2: at_one * c for e, c in p._c.items()})
+
+
+def laurent_pencil(a, b) -> list[list[LaurentPoly]]:
+    """The matrix A + tB over Z[t, t^-1]."""
+    return [
+        [LaurentPoly({0: u, 1: v}) for u, v in zip(ra, rb)] for ra, rb in zip(a, b)
+    ]
+
+
 def det_int_laurent(rows) -> int:
     """Integer determinant by Bareiss over Z[t, t^-1], read at t = 1."""
     return det_laurent(rows).evaluate_int(1)
 
 
 def determinant_via_alexander(v) -> int:
-    """|Delta(-1)| from the whole Alexander polynomial of V."""
-    return abs(alexander(v).evaluate_int(-1))
+    """|Delta(-1)| from the whole Alexander polynomial of V, by det_laurent."""
+    return abs(alexander_laurent(v).evaluate_int(-1))
 
 
 def arf_symplectic(v) -> int:
@@ -190,6 +283,47 @@ def levine_tristram_trig(v, cos, sin) -> int | None:
     big += [m + r for r, m in zip(re, im)]
     pos, neg, zero = inertia_lagrange(big)
     return None if zero else (pos - neg) // 2
+
+
+def relabel_bands(F: BandSurface, perm) -> BandSurface:
+    """F with band i renamed perm[i]; G becomes permute(G, perm)."""
+    twists = [0] * F.n_bands
+    for i, band in enumerate(F.bands):
+        twists[perm[i]] = band.half_twists
+    return BandSurface.build(
+        twists,
+        [(perm[i], e) for i, e in F.attach],
+        [
+            ((perm[ev.over[0]], ev.over[1]), (perm[ev.under[0]], ev.under[1]), ev.sign)
+            for ev in F.route
+        ],
+    )
+
+
+def rotate_attach(F: BandSurface, k: int) -> BandSurface:
+    """F with its cyclic attach order started at position k: a rotation
+    of the disk, so G, the framing and V are unchanged."""
+    attach = F.attach[k:] + F.attach[:k]
+    return BandSurface.build([b.half_twists for b in F.bands], attach, F.route)
+
+
+def mirror_surface(F: BandSurface) -> BandSurface:
+    """The mirror image: half twists and event signs negated, over and
+    under swapped. G -> -G, framing -> -framing, V -> -V^T."""
+    return BandSurface.build(
+        [-b.half_twists for b in F.bands],
+        F.attach,
+        [(ev.under, ev.over, -ev.sign) for ev in F.route],
+    )
+
+
+def permute(m, perm) -> tuple[tuple[int, ...], ...]:
+    """The matrix with row and column i moved to perm[i]."""
+    out = [[0] * len(m) for _ in m]
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            out[perm[i]][perm[j]] = x
+    return tuple(tuple(row) for row in out)
 
 
 def validate_diagram(d: CrossingList) -> list[str]:

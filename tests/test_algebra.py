@@ -8,14 +8,14 @@ from knotbands.algebra import (
     AbelianInvariants,
     LaurentPoly,
     det_int,
-    det_laurent,
+    det_pencil,
     fp_abelian_invariants,
     inertia,
     signature_exact,
     smith_normal_form,
     transpose,
 )
-from oracles import det_cofactor
+from oracles import det_cofactor, det_laurent, laurent_pencil
 
 polys = st.dictionaries(st.integers(-4, 4), st.integers(-6, 6), max_size=5).map(
     LaurentPoly
@@ -82,27 +82,26 @@ class TestLaurentPoly:
         assert a * LaurentPoly.one() == a
         assert a - a == LaurentPoly.zero()
 
-    @settings(max_examples=60)
-    @given(polys, polys)
-    def test_exact_div_inverts_product(self, a, b):
-        if b.is_zero:
-            return
-        assert (a * b).exact_div(b) == a
-
 
 class TestDeterminants:
     def test_fixtures(self):
-        t = LaurentPoly({1: 1})
         one = LaurentPoly.one()
-        assert det_laurent([[t, one], [one, t]]) == LaurentPoly({2: 1, 0: -1})
-        assert det_laurent([]) == one
-        assert det_laurent([[LaurentPoly.zero()]]) == LaurentPoly.zero()
+        # det [[t, 1], [1, t]] = t^2 - 1
+        assert det_pencil([[0, 1], [1, 0]], [[1, 0], [0, 1]]) == LaurentPoly({2: 1, 0: -1})
+        assert det_pencil([], []) == one
+        assert det_pencil([[0]], [[0]]) == LaurentPoly.zero()
+        assert det_pencil([[5]], [[0]]) == LaurentPoly({0: 5})
+        assert det_pencil([[0]], [[-3]]) == LaurentPoly({1: -3})
         assert det_int([[2, 1], [1, 2]]) == 3
         assert det_int([[0, 1], [1, 0]]) == -1
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            det_laurent([[LaurentPoly.one()], [LaurentPoly.one()]])
+        with pytest.raises(ValueError, match="matrix must be square"):
+            det_pencil([[1], [1]], [[1], [1]])
+        with pytest.raises(ValueError, match="matrix must be square"):
+            det_pencil([[1]], [[1, 0]])
+        with pytest.raises(ValueError, match="matrices must have one size"):
+            det_pencil([[1]], [[1, 0], [0, 1]])
         with pytest.raises(ValueError, match="matrix must be square"):
             det_int([[1, 2]])
         with pytest.raises(ValueError, match="matrix must be square"):
@@ -116,6 +115,18 @@ class TestDeterminants:
     def test_det_int_takes_integers_only(self, rows):
         with pytest.raises(ValueError, match="must be integers"):
             det_int(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1.0]], [[True]], [[False]], [[LaurentPoly.one()]]],
+        ids=repr,
+    )
+    def test_det_pencil_takes_integers_only(self, rows):
+        # on either side: a bool in B is not 1 even where x * True would be
+        with pytest.raises(ValueError, match="must be integers"):
+            det_pencil(rows, [[1]])
+        with pytest.raises(ValueError, match="must be integers"):
+            det_pencil([[1]], rows)
 
     def test_det_int_fixtures(self):
         assert det_int([]) == 1
@@ -131,19 +142,15 @@ class TestDeterminants:
         import random
 
         rng = random.Random(seed)
-        m = [
-            [
-                LaurentPoly({e: rng.randint(-3, 3) for e in range(-2, 3)})
-                for _ in range(n)
-            ]
-            for _ in range(n)
-        ]
-        assert det_laurent(m) == det_cofactor(m)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        assert det_pencil(a, b) == det_cofactor(laurent_pencil(a, b))
 
     def test_row_swap_flips_sign(self):
-        t = LaurentPoly({1: 1})
-        m = [[t, LaurentPoly.one()], [LaurentPoly({-1: 2}), t * t]]
-        assert det_laurent(m) == -det_laurent([m[1], m[0]])
+        a, b = [[0, 1], [2, 0]], [[1, 0], [0, 1]]
+        swapped = det_pencil([a[1], a[0]], [b[1], b[0]])
+        assert det_pencil(a, b) == -swapped
+        assert det_pencil(a, b) == det_laurent(laurent_pencil(a, b))
 
 
 class TestInertia:

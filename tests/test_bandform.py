@@ -485,6 +485,29 @@ class TestJson:
                 {"bands": [{}], "attach": [[0, "A"], [0, "B"]], "route": []}
             )
 
+    @pytest.mark.parametrize(
+        "attach, route",
+        [
+            ([["x", 0, "y", "A"], [0, "B"]], []),
+            ([[0, "A", 99], [0, "B"]], []),
+            ([[0], [0, "B"]], []),
+            ([0, [0, "B"]], []),
+            ([[0, "A"], [0, "B"]], [{"over": [0, 0, 7], "under": [0, 1], "sign": 1}]),
+            ([[0, "A"], [0, "B"]], [{"over": [0, 0], "under": [0], "sign": 1}]),
+            ([[0, "A"], [0, "B"]], [{"over": 0, "under": [0, 1], "sign": 1}]),
+        ],
+        ids=[
+            "unkeyed-4", "attach-3", "attach-1", "attach-int",
+            "over-3", "under-1", "over-int",
+        ],
+    )
+    def test_malformed_entries_are_not_truncated(self, attach, route):
+        # ["x", 0, "y", "A"] and [0, "A", 99] were read as [0, "A"], and
+        # a passage [0, 0, 7] as (0, 0)
+        data = {"bands": [{"half_twists": 1}], "attach": attach, "route": route}
+        with pytest.raises(ValueError, match="malformed band surface JSON"):
+            BandSurface.from_json(data)
+
     def test_core_route_rejects_other_bands(self):
         with pytest.raises(ValueError, match="single band"):
             core_route([RouteEvent((1, 0), (0, 0), 1)])

@@ -432,6 +432,54 @@ class TestMalformedSamples:
         assert out == ""
         assert err == f"error: s must be a JSON integer or a string, got {shown}\n"
 
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ("invariants", "--preset", "trefoil"),
+            ("obstruct-cable", "--presetK", "trefoil", "--presetJ", "unknot", "-p", "3"),
+        ],
+        ids=["invariants", "obstruct-cable"],
+    )
+    def test_omega_and_s_together(self, capsys, verb):
+        # {"omega": -1, "s": "1/2"} was evaluated at omega = -1
+        code, out, err = call(capsys, *verb, "--samples", '[{"omega":-1,"s":"1/2"}]')
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: sample point names both omega and s: {'omega': -1, 's': '1/2'}\n"
+        )
+
+
+def _surface(attach, route="[]") -> str:
+    return f'{{"bands":[{{"half_twists":1}}],"attach":{attach},"route":{route}}}'
+
+
+class TestMalformedSurface:
+    """Attach entries are [i, e] or ["band", i, "end", e] and route
+    passages are [band, slot]; anything longer or shorter is one error
+    line, not truncated."""
+
+    @pytest.mark.parametrize(
+        "surface",
+        [
+            _surface('[["x",0,"y","A"],[0,"B"]]'),
+            _surface('[[0,"A",99],[0,"B"]]'),
+            _surface('[[0,"A"],[0,"B"]]', '[{"over":[0,0,7],"under":[0,1],"sign":1}]'),
+        ],
+        ids=["unkeyed-attach", "long-attach", "long-passage"],
+    )
+    def test_exit_1(self, capsys, surface):
+        code, out, err = call(capsys, "band", "--surface", surface)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: malformed band surface JSON: ")
+        assert err.count("\n") == 1
+
+    def test_both_attach_forms_still_work(self, capsys):
+        for attach in ('[[0,"A"],[0,"B"]]', '[["band",0,"end","A"],[0,"B"]]'):
+            code, data = call_json(capsys, "band", "--surface", _surface(attach))
+            assert code == 0 and data["framing"] == 2
+
 
 class TestMalformedRelations:
     """The relations and each relation must be JSON lists; a string or an

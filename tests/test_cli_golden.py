@@ -3,8 +3,10 @@
 ``tests/data/cli_golden.json`` maps each command line below to its exit
 code and stdout: JSON for every command, and ``--format text`` as well
 for a few ``klein`` and ``cable`` runs and for one short ``verify`` run,
-which pins the battery's seeded draws. A change that is meant to alter
-CLI output rewrites the file with
+which pins the battery's seeded draws. ``tests/data/verify_sha256.json``
+holds the sha256 of the JSON stdout of ``verify --seed S --trials 100``
+for S = 0, 1, 2, the full battery, which takes about a second a seed. A
+change that is meant to alter CLI output rewrites both files with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 
@@ -14,6 +16,7 @@ golden would only pin that fallback.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -25,6 +28,7 @@ import pytest
 from knotbands.cli import run
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "cli_golden.json"
+VERIFY_SHA256 = GOLDEN.with_name("verify_sha256.json")
 
 ROUTED = ("unknot", "trefoil", "t25")
 ALL_PRESETS = ("unknot", "trefoil", "figure-eight", "t25")
@@ -52,6 +56,7 @@ def _commands() -> list[tuple[str, ...]]:
 
 
 COMMANDS = _commands()
+FULL_VERIFY = [("verify", "--seed", str(s), "--trials", "100") for s in (0, 1, 2)]
 
 
 def _capture(argv) -> dict:
@@ -59,6 +64,12 @@ def _capture(argv) -> dict:
     with contextlib.redirect_stdout(out):
         code = run(list(argv))
     return {"exit": code, "stdout": out.getvalue()}
+
+
+def _sha256(argv) -> str:
+    captured = _capture(argv)
+    assert captured["exit"] == 0
+    return hashlib.sha256(captured["stdout"].encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +86,13 @@ def test_cli_output_is_byte_identical(golden, argv):
     assert _capture(argv) == golden[" ".join(argv)]
 
 
+@pytest.mark.parametrize("argv", FULL_VERIFY, ids=" ".join)
+def test_full_verify_output_is_byte_identical(argv):
+    pins = json.loads(VERIFY_SHA256.read_text())
+    assert sorted(pins) == sorted(" ".join(c) for c in FULL_VERIFY)
+    assert _sha256(argv) == pins[" ".join(argv)]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit("usage: python tests/test_cli_golden.py --record")
@@ -82,3 +100,6 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(data)} commands to {GOLDEN}")
+    pins = {" ".join(c): _sha256(c) for c in FULL_VERIFY}
+    VERIFY_SHA256.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(pins)} digests to {VERIFY_SHA256}")

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from knotbands.algebra import det_int
+from knotbands.algebra import det_int, det_pencil
 from knotbands.bandform import seifert_matrix
 from knotbands.battery import random_band_surface
 from knotbands.invariants import (
@@ -219,14 +219,14 @@ class TestLevineTristramOracle:
         assert oracles.omega_trig(squared.s) == (cos * cos - sin * sin, 2 * cos * sin)
 
 
-def _random_braid_seifert(rng: random.Random) -> list[list[int]]:
+def _random_braid_seifert(rng: random.Random, max_rank: int = 8) -> list[list[int]]:
     """Seifert matrix of a random knotted braid closure on 2-5 strands,
-    of rank at most 8."""
+    of rank at most max_rank."""
     while True:
         n = rng.randint(2, 5)
         word = [
             rng.choice((1, -1)) * rng.randint(1, n - 1)
-            for _ in range(rng.randint(n, n + 7))
+            for _ in range(rng.randint(n, n + max_rank - 1))
         ]
         if sorted({abs(c) for c in word}) == list(range(1, n)) and (
             oracles.braid_closure_components(word) == 1
@@ -276,6 +276,10 @@ def _random_square(rng: random.Random, n: int) -> list[list[int]]:
     return m
 
 
+# the three degenerate-presentation errors of alexander
+DEGENERATE = ("zero Alexander determinant", "cannot be centered", "at t=1")
+
+
 def _outcome(f, *args):
     """f's value, or the text of the ValueError it raised."""
     try:
@@ -286,7 +290,8 @@ def _outcome(f, *args):
 
 class TestIntegerDeterminantOracle:
     """det_int, determinant_knot and arf on a Seifert matrix against the
-    Laurent-polynomial route through det_laurent and alexander."""
+    Laurent-polynomial route through oracles.det_laurent and
+    oracles.alexander_laurent."""
 
     def test_agrees_on_braid_and_random_matrices(self):
         rng = random.Random(11)
@@ -314,8 +319,51 @@ class TestIntegerDeterminantOracle:
         assert len(matrices) >= 2000 and cofactor >= 1000
         # both outcomes are exercised, and every degenerate-presentation error
         assert valid >= 900
-        kinds = ("zero Alexander determinant", "cannot be centered", "at t=1")
-        assert all(any(k in e for e in errors) for k in kinds), errors
+        assert all(any(k in e for e in errors) for k in DEGENERATE), errors
+
+
+class TestAlexanderOracle:
+    """alexander, and det_pencil under it, against Bareiss elimination
+    over Z[t, t^-1] (oracles.det_laurent), which shares no code with
+    det_int, and against cofactor expansion."""
+
+    def test_alexander_agrees_on_braid_and_random_matrices(self):
+        rng = random.Random(15)
+        # a third of them up to rank 20, the rest up to rank 8: the
+        # Laurent-ring oracle takes about 25 ms at rank 20
+        matrices = [
+            _random_braid_seifert(rng, max_rank=rng.choice((8, 8, 20)))
+            for _ in range(700)
+        ]
+        # sizes 0-8, smaller ones more often: n is the least of two draws
+        sizes = [min(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(1000)]
+        matrices += [_random_square(rng, n) for n in sizes]
+        valid = large = 0
+        errors = set()
+        for m in matrices:
+            want = _outcome(oracles.alexander_laurent, m)
+            assert _outcome(alexander, m) == want, m
+            if isinstance(want, str):
+                errors.add(want)
+            else:
+                valid += 1
+            large += len(m) >= 14
+        assert valid >= 900 and large >= 80
+        assert all(any(k in e for e in errors) for k in DEGENERATE), errors
+
+    def test_det_pencil_agrees_with_cofactor_and_laurent_bareiss(self):
+        rng = random.Random(16)
+        cofactor = 0
+        for _ in range(400):
+            n = rng.randint(0, 10)
+            a, b = _random_square(rng, n), _random_square(rng, n)
+            pencil = oracles.laurent_pencil(a, b)
+            got = det_pencil(a, b)
+            assert got == oracles.det_laurent(pencil), (a, b)
+            if n <= 5:
+                assert got == oracles.det_cofactor(pencil), (a, b)
+                cofactor += 1
+        assert cofactor >= 200
 
 
 def _random_symmetric(rng: random.Random, n: int) -> list:

@@ -1,0 +1,77 @@
+"""Surface moves as metamorphic oracles for the curve compiler.
+
+Each move in ``oracles`` changes the presentation of a band surface, not
+the surface, or changes it to its mirror image. The compiler must answer
+with the matching transform: relabelling the bands permutes the
+Gordon-Litherland form G and the Seifert matrix V; rotating the attach
+order changes nothing; the mirror negates G and the framing and takes V
+to -V^T. The shape is the same under all three.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from knotbands.bandform import framing, gl_form, seifert_matrix, shape, validate_surface
+from knotbands.battery import random_band_surface, random_normal_form
+
+
+def _negated(m):
+    return tuple(tuple(-x for x in row) for row in m)
+
+
+def _surface(seed: int, kind: str):
+    rng = random.Random(seed)
+    if kind == "normal-form":
+        return rng, random_normal_form(rng)
+    return rng, random_band_surface(rng, orientable=kind == "orientable")
+
+
+KINDS = st.sampled_from(("orientable", "nonorientable", "normal-form"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), KINDS)
+def test_relabelling_the_bands_permutes_the_forms(seed, kind):
+    rng, F = _surface(seed, kind)
+    perm = list(range(F.n_bands))
+    rng.shuffle(perm)
+    moved = oracles.relabel_bands(F, perm)
+    assert validate_surface(moved) == []
+    assert shape(moved) == shape(F)
+    assert framing(moved) == framing(F)
+    assert gl_form(moved) == oracles.permute(gl_form(F), perm)
+    if F.orientable:
+        assert seifert_matrix(moved) == oracles.permute(seifert_matrix(F), perm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), KINDS)
+def test_rotating_the_attach_order_changes_nothing(seed, kind):
+    rng, F = _surface(seed, kind)
+    moved = oracles.rotate_attach(F, rng.randrange(1, 2 * F.n_bands))
+    assert validate_surface(moved) == []
+    assert shape(moved) == shape(F)
+    assert framing(moved) == framing(F)
+    assert gl_form(moved) == gl_form(F)
+    if F.orientable:
+        assert seifert_matrix(moved) == seifert_matrix(F)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), KINDS)
+def test_the_mirror_negates_the_forms(seed, kind):
+    _, F = _surface(seed, kind)
+    moved = oracles.mirror_surface(F)
+    assert validate_surface(moved) == []
+    assert shape(moved) == shape(F)
+    assert framing(moved) == -framing(F)
+    assert gl_form(moved) == _negated(gl_form(F))
+    if F.orientable:
+        V = seifert_matrix(F)
+        assert seifert_matrix(moved) == _negated(zip(*V))
+    # the mirror of the mirror is the surface itself
+    assert oracles.mirror_surface(moved) == F
+
