@@ -1,6 +1,8 @@
-"""Exact algebra substrate: integer Laurent polynomials, fraction-free
-determinants, congruence signatures of symmetric matrices, Smith normal
-form, and invariants of finitely presented abelian groups.
+"""Exact algebra substrate: the integer Laurent polynomial as a value
+(product, negation, shift, t -> t^k, evaluation; no ring sum), one check
+of integer-matrix input, the fraction-free integer determinant and
+det(A + tB) from it, congruence signatures of symmetric matrices, Smith
+normal form, and invariants of finitely presented abelian groups.
 
 No floating point is used anywhere; all arithmetic is over unbounded
 integers and rationals.
@@ -19,7 +21,9 @@ class LaurentPoly:
 
     Immutable. Stored as a map from exponent to nonzero coefficient.
     The canonical text form lists terms by ascending exponent, e.g.
-    ``t^-1 - 1 + t``.
+    ``t^-1 - 1 + t``. It is a value with the operations the library
+    uses: product, negation, shift, t -> t^k and integer evaluation.
+    There is no sum, and it equals only another LaurentPoly.
     """
 
     __slots__ = ("_c",)
@@ -35,16 +39,8 @@ class LaurentPoly:
         self._c = c
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
-
-    @classmethod
-    def term(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
-        return cls({exp: coeff})
 
     @property
     def is_zero(self) -> bool:
@@ -63,46 +59,18 @@ class LaurentPoly:
         return max(self._c)
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._c == other._c
 
     def __hash__(self) -> int:
         return hash(frozenset(self._c.items()))
 
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __add__(self, other) -> "LaurentPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, 0) + v
-        return LaurentPoly(c)
-
-    __radd__ = __add__
-
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -v for e, v in self._c.items()})
 
-    def __sub__(self, other) -> "LaurentPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other) -> "LaurentPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         c: dict[int, int] = {}
         for e1, v1 in self._c.items():
@@ -111,7 +79,9 @@ class LaurentPoly:
                 c[e] = c.get(e, 0) + v1 * v2
         return LaurentPoly(c)
 
-    __rmul__ = __mul__
+    def shift(self, k: int) -> "LaurentPoly":
+        """The product with t^k."""
+        return LaurentPoly({e + k: v for e, v in self._c.items()})
 
     def substitute(self, k: int) -> "LaurentPoly":
         """Apply t -> t^k for a nonzero integer k."""
@@ -158,20 +128,36 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_string()!r})"
 
 
-def _coerce(value) -> "LaurentPoly":
-    if isinstance(value, LaurentPoly):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return LaurentPoly.term(value)
-    return NotImplemented
-
-
 def _square_size(rows: Sequence[Sequence]) -> int:
     n = len(rows)
     for r in rows:
         if len(r) != n:
             raise ValueError("matrix must be square")
     return n
+
+
+def int_matrix(rows, square: bool = True) -> list[list[int]]:
+    """A fresh list-of-lists copy of an integer matrix, checked.
+
+    The matrix and each of its rows must be a list or a tuple, so that a
+    JSON object or a string is not read as its keys or characters. Every
+    row has len(rows) entries when square, else as many as the first.
+    Every entry must be an int: floats and bools are rejected, not
+    truncated.
+    """
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"matrix must be a list of rows, got {rows!r}")
+    for row in rows:
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(f"each matrix row must be a list of integers, got {row!r}")
+    width = len(rows) if square or not rows else len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValueError("matrix must be square" if square else "ragged matrix")
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                raise ValueError(f"matrix entries must be integers, got {x!r}")
+    return [list(row) for row in rows]
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -184,14 +170,8 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     and LaurentPoly entries are rejected. This is the library's one
     elimination for determinants; det_pencil builds det(A + tB) from it.
     """
-    n = _square_size(rows)
-    a = []
-    for row in rows:
-        for x in row:
-            # floats and bools are rejected, not truncated
-            if type(x) is not int:
-                raise ValueError(f"matrix entries must be integers, got {x!r}")
-        a.append(list(row))
+    a = int_matrix(rows)
+    n = len(a)
     if n == 0:
         return 1
     sign = 1
@@ -345,16 +325,9 @@ def signature_exact(rows: Sequence[Sequence]) -> int:
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
     """Invariant factors d1 | d2 | ... (each >= 1) and rank of an integer matrix."""
-    a = [list(r) for r in rows]
-    for r in a:
-        for x in r:
-            # floats and bools are rejected, not truncated
-            if type(x) is not int:
-                raise ValueError(f"matrix entries must be integers, got {x!r}")
+    a = int_matrix(rows, square=False)
     m = len(a)
     n = len(a[0]) if m else 0
-    if any(len(r) != n for r in a):
-        raise ValueError("ragged matrix")
     factors: list[int] = []
     t = 0
     while t < min(m, n):

@@ -176,6 +176,11 @@ def core_route(events: Iterable) -> tuple[RouteEvent, ...]:
                 raise ValueError("a core route lives on a single band (index 0)")
             out.append(ev)
         else:
+            if not isinstance(ev, (list, tuple)) or len(ev) != 3:
+                raise ValueError(
+                    f"a core route event must be an (over_slot, under_slot, sign) "
+                    f"triple, got {ev!r}"
+                )
             o, u, s = ev
             out.append(
                 RouteEvent(

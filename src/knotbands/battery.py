@@ -506,17 +506,16 @@ def _prop_cable_screen(t: _Tally, rng: random.Random, trials: int) -> None:
     )
 
 
-def _det_cofactor(rows: list[list[LaurentPoly]]) -> LaurentPoly:
+def _det_cofactor(rows: list[list[int]]) -> int:
     n = len(rows)
     if n == 0:
-        return LaurentPoly.one()
+        return 1
     if n == 1:
         return rows[0][0]
-    total = LaurentPoly.zero()
+    total = 0
     for j in range(n):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
+        total += (-1) ** j * rows[0][j] * _det_cofactor(minor)
     return total
 
 
@@ -528,17 +527,20 @@ def _matmul(a, b) -> list[list[int]]:
 def _prop_algebra_oracles(
     t: _Tally, rng: random.Random, trials: int, det_oracle=_det_cofactor
 ) -> None:
-    """det_oracle is the cofactor expansion over Z[t, t^-1] that
-    det_pencil(A, B) must match on A + tB."""
+    """det_oracle is an integer determinant that det_pencil(A, B) must
+    match on A + xB at x = -1..-(n+1). det_pencil reads its values at
+    x = 0..n-1, so these points are new to it, and a polynomial whose
+    exponents lie in [0, n] is fixed by its values at n + 1 points."""
     for _ in range(trials):
         n = rng.randint(0, 4)
         A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        pencil = [
-            [LaurentPoly({0: u, 1: v}) for u, v in zip(ra, rb)]
-            for ra, rb in zip(A, B)
-        ]
-        t.check(det_pencil(A, B) == det_oracle(pencil), f"det mismatch at n={n}")
+        p = det_pencil(A, B)
+        ok = p.is_zero or (p.min_exp >= 0 and p.max_exp <= n)
+        for x in range(-1, -n - 2, -1):
+            at_x = [[u + x * v for u, v in zip(ra, rb)] for ra, rb in zip(A, B)]
+            ok = ok and p.evaluate_int(x) == det_oracle(at_x)
+        t.check(ok, f"det mismatch at n={n}")
     for _ in range(trials):
         n = rng.randint(1, 5)
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]

@@ -55,6 +55,17 @@ def _load_json_arg(text: str):
         return json.load(fh)
 
 
+def _route(obj):
+    """A core route from parsed JSON: a list of [over_slot, under_slot,
+    sign] triples."""
+    if not isinstance(obj, list):
+        raise ValueError(
+            f"a core route must be a JSON list of [over_slot, under_slot, sign] "
+            f"triples, got {obj!r}"
+        )
+    return core_route(obj)
+
+
 def _knot_record(args, flag: str, preset_flag: str):
     name = getattr(args, preset_flag, None)
     if name is not None:
@@ -66,8 +77,8 @@ def _knot_record(args, flag: str, preset_flag: str):
             'knot record must be a JSON object with a "seifert" matrix '
             'and optional "core_route" crossing list'
         )
-    route = core_route([tuple(ev) for ev in obj.get("core_route") or []])
-    return obj["seifert"], route
+    route = obj.get("core_route")
+    return obj["seifert"], _route([] if route is None else route)
 
 
 def _klein_core(args, knot: str):
@@ -76,7 +87,7 @@ def _klein_core(args, knot: str):
     name = getattr(args, f"preset{knot}")
     if name is not None:
         return get_preset(name).core_route or ()
-    return core_route([tuple(ev) for ev in _load_json_arg(getattr(args, f"core{knot}"))])
+    return _route(_load_json_arg(getattr(args, f"core{knot}")))
 
 
 def _samples(args):

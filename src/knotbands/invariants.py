@@ -17,6 +17,7 @@ from .algebra import (
     det_int,
     det_pencil,
     inertia,
+    int_matrix,
     signature_exact,
 )
 from .record import Record
@@ -25,15 +26,7 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def _as_matrix(rows) -> Matrix:
-    m = tuple(tuple(row) for row in rows)
-    for row in m:
-        if len(row) != len(m):
-            raise ValueError("matrix must be square")
-        for x in row:
-            # floats and bools are rejected, not truncated
-            if type(x) is not int:
-                raise ValueError(f"matrix entries must be integers, got {x!r}")
-    return m
+    return tuple(map(tuple, int_matrix(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +129,7 @@ def _normalize_alexander(p: LaurentPoly) -> LaurentPoly:
     lo, hi = p.min_exp, p.max_exp
     if (lo + hi) % 2:
         raise ValueError("degenerate presentation: support cannot be centered")
-    q = p * LaurentPoly.term(1, -(lo + hi) // 2)
+    q = p.shift(-(lo + hi) // 2)
     at_one = q.evaluate_int(1)
     if at_one == 1:
         return q

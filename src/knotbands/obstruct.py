@@ -149,8 +149,13 @@ def cable_concordance_check(
     v_k, v_j, p: int, samples: Iterable[Omega] | None = None
 ) -> ObstructionReport:
     """Necessary conditions for the (2,p) cables of K and J to be
-    concordant over Z[1/2]: the signature functions of K and J must agree
-    at every sample, and the cable determinants must match."""
+    concordant: the signature functions of K and J must agree at every
+    sample, and the cable determinants must match.
+
+    No claim is made for concordance over Z[1/2]: five of the six
+    DEFAULT_SAMPLES are roots of an integer polynomial f with f(1) = +-2^k,
+    where the known proof that a signature is invariant under such a
+    concordance does not reach (Nagel-Powell, IMRN 2017)."""
     if type(p) is not int:
         raise ValueError(f"p must be an integer, got {p!r}")
     if p % 2 == 0:

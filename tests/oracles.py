@@ -1,160 +1,228 @@
 """Independent cross-checks used by the test suite.
 
 Everything here is deliberately computed by a different route than the
-library takes: determinants by cofactor expansion, Arf from a symplectic
-basis of the mod-2 intersection form, twist-box crossings by braiding the
-strands one half twist at a time, Seifert matrices read brick by brick
-off braid words, and Levine-Tristram signatures from the rational cos/sin
-coordinates of the sample point, diagonalized by ``inertia_lagrange``,
-the full-update elimination that the library's one-triangle ``inertia``
-replaced. ``det_laurent`` is Bareiss elimination over Z[t, t^-1] with
-its own exact polynomial division, the route the library took before
-``det_pencil`` read det(A + tB) off integer determinants;
+library takes, and imports only public library names: determinants by
+cofactor expansion, Arf from a symplectic basis of the mod-2
+intersection form, twist-box crossings by braiding the strands one half
+twist at a time, Seifert matrices read brick by brick off braid words,
+and Levine-Tristram signatures from the rational cos/sin coordinates of
+the sample point, diagonalized by ``inertia_lagrange``, the full-update
+elimination that the library's one-triangle ``inertia`` replaced.
+
+Polynomials are the module's own: elements of Z[t] as coefficient
+tuples (``zt``, ``zt_add``, ``zt_sub``, ``zt_mul``, ``zt_div_exact``),
+and ``pencil(A, B)`` is A + tB over them. ``det_laurent`` is Bareiss
+elimination over Z[t] with exact long division, the route the library
+took before ``det_pencil`` read det(A + tB) off integer determinants;
 ``alexander_laurent``, ``det_int_laurent`` and
 ``determinant_via_alexander`` go through it, the reference for
-``alexander``, ``det_int`` and the knot determinant.
+``alexander``, ``det_int`` and the knot determinant. ``det_cofactor``
+expands an integer matrix, ``det_cofactor_zt`` a matrix over Z[t].
+Results are handed back as a ``LaurentPoly`` only to be compared with
+the library's.
 ``validate_diagram`` checks that the signed crossings between components
 the curve compiler emits have signs +-1 and name components that exist.
-``relabel_bands``, ``rotate_attach`` and ``mirror_surface`` are surface
-moves with a known effect on the Gordon-Litherland form, the framing and
-the Seifert matrix, for metamorphic tests of the curve compiler.
+``relabel_bands``, ``rotate_attach``, ``mirror_surface`` and
+``append_cancelling_pair`` are surface moves with a known effect on the
+Gordon-Litherland form, the framing and the Seifert matrix, for
+metamorphic tests of the curve compiler.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 
 from knotbands import BandSurface, LaurentPoly
-from knotbands.algebra import _coerce, _square_size, is_symmetric
+from knotbands.algebra import is_symmetric
 from knotbands.diagram import CrossingList
 
-
-def _as_poly(entry):
-    if isinstance(entry, LaurentPoly):
-        return entry
-    return LaurentPoly({0: int(entry)})
+# ---------------------------------------------------------------------------
+# Z[t] on coefficient tuples, lowest power first and with no trailing
+# zero, so that () is 0 and equal polynomials are equal tuples
 
 
-def det_cofactor(rows) -> LaurentPoly:
-    """First-row cofactor expansion over the Laurent ring."""
+def _trim(c: list[int]) -> tuple[int, ...]:
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def zt(x) -> tuple[int, ...]:
+    """An int, or a sequence of int coefficients, as an element of Z[t]."""
+    c = [x] if type(x) is int else list(x)
+    if any(type(v) is not int for v in c):
+        raise ValueError(f"Z[t] coefficients must be integers, got {x!r}")
+    return _trim(c)
+
+
+def zt_add(a, b) -> tuple[int, ...]:
+    return _trim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def zt_neg(a) -> tuple[int, ...]:
+    return tuple(-x for x in a)
+
+
+def zt_sub(a, b) -> tuple[int, ...]:
+    return _trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def zt_mul(a, b) -> tuple[int, ...]:
+    if not a or not b:
+        return ()
+    c = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                c[i + j] += x * y
+    return tuple(c)  # the top coefficient a[-1] * b[-1] is not 0
+
+
+def zt_div_exact(num, den) -> tuple[int, ...]:
+    """num / den in Z[t] by long division from the top; ValueError unless
+    the quotient is in Z[t]."""
+    if not den:
+        raise ValueError("division by the zero polynomial")
+    if len(den) == 1:
+        quot = [divmod(x, den[0]) for x in num]
+        if any(r for _, r in quot):
+            raise ValueError("inexact polynomial division")
+        return tuple(q for q, _ in quot)
+    rest = list(num)
+    top = den[-1]
+    quot = [0] * max(len(rest) - len(den) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rest[k + len(den) - 1], top)
+        if r:
+            raise ValueError("inexact polynomial division")
+        if q:
+            quot[k] = q
+            for i, d in enumerate(den):
+                rest[k + i] -= q * d
+    if any(rest):
+        raise ValueError("inexact polynomial division")
+    return _trim(quot)
+
+
+def laurent(coeffs, shift: int = 0) -> LaurentPoly:
+    """t^shift times the Z[t] element coeffs, as the library's value type."""
+    return LaurentPoly({shift + e: v for e, v in enumerate(coeffs)})
+
+
+def pencil(a, b) -> list[list[tuple[int, ...]]]:
+    """The matrix A + tB over Z[t]."""
+    return [[zt((u, v)) for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _square(rows) -> int:
     n = len(rows)
     for r in rows:
         if len(r) != n:
             raise ValueError("matrix must be square")
-    if n == 0:
-        return LaurentPoly({0: 1})
-    grid = [[_as_poly(e) for e in r] for r in rows]
+    return n
+
+
+def _cofactor(rows) -> tuple[int, ...]:
+    """First-row cofactor expansion over Z[t]; entries are ints or Z[t]
+    coefficient sequences."""
+    if _square(rows) == 0:
+        return (1,)
 
     def rec(m):
-        size = len(m)
-        if size == 1:
+        if len(m) == 1:
             return m[0][0]
-        total = LaurentPoly.zero()
-        for j in range(size):
+        total = ()
+        for j in range(len(m)):
             minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            term = m[0][j] * rec(minor)
-            total = total + term if j % 2 == 0 else total - term
+            term = zt_mul(m[0][j], rec(minor))
+            total = zt_add(total, term) if j % 2 == 0 else zt_sub(total, term)
         return total
 
-    return rec(grid)
+    return rec([[zt(e) for e in r] for r in rows])
 
 
-def _exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact division in Z[t, t^-1]; raises ValueError if not exact."""
-    if den.is_zero:
-        raise ValueError("division by zero polynomial")
-    if num.is_zero:
-        return LaurentPoly.zero()
-    shift = num.min_exp - den.min_exp
-    rest = {e - num.min_exp: v for e, v in num._c.items()}
-    div = {e - den.min_exp: v for e, v in den._c.items()}
-    dend = max(div)
-    dlead = div[dend]
-    quot: dict[int, int] = {}
-    while rest:
-        nd = max(rest)
-        if nd < dend:
-            raise ValueError("inexact polynomial division")
-        q, r = divmod(rest[nd], dlead)
-        if r != 0:
-            raise ValueError("inexact polynomial division")
-        quot[nd - dend] = q
-        for e, v in div.items():
-            ne = e + nd - dend
-            nv = rest.get(ne, 0) - q * v
-            if nv:
-                rest[ne] = nv
-            else:
-                rest.pop(ne, None)
-    return LaurentPoly({e + shift: v for e, v in quot.items()})
+def det_cofactor(rows) -> int:
+    """Cofactor expansion of an integer matrix."""
+    for r in rows:
+        for e in r:
+            if type(e) is not int:
+                raise ValueError(f"matrix entries must be integers, got {e!r}")
+    d = _cofactor(rows)
+    return d[0] if d else 0
 
 
-def det_laurent(rows) -> LaurentPoly:
-    """Exact determinant of a square matrix over Z[t, t^-1].
+def det_cofactor_zt(rows) -> LaurentPoly:
+    """Cofactor expansion of a matrix over Z[t]."""
+    return laurent(_cofactor(rows))
 
-    Fraction-free Bareiss elimination; every intermediate division is
-    exact in the Laurent ring. The empty matrix has determinant 1.
-    """
-    n = _square_size(rows)
-    if n == 0:
-        return LaurentPoly.one()
-    a = []
-    for row in rows:
-        out = []
-        for entry in row:
-            v = _coerce(entry)
-            if v is NotImplemented:
-                raise ValueError("entries must be LaurentPoly or int")
-            out.append(v)
-        a.append(out)
+
+def _det_bareiss(rows) -> tuple[int, ...]:
+    """Fraction-free Bareiss elimination over Z[t]: every division by the
+    previous pivot is exact in Z[t]. The empty matrix has determinant 1."""
+    n = _square(rows)
+    a = [[zt(e) for e in r] for r in rows]
     sign = 1
-    prev = LaurentPoly.one()
+    prev = (1,)
     for k in range(n - 1):
-        piv = next((i for i in range(k, n) if not a[i][k].is_zero), None)
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
-            return LaurentPoly.zero()
+            return ()
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
+        rk = a[k]
+        akk = rk[k]
         for i in range(k + 1, n):
+            ri = a[i]
+            aik = ri[k]
             for j in range(k + 1, n):
-                a[i][j] = _exact_div(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
-            a[i][k] = LaurentPoly.zero()
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return result if sign > 0 else -result
+                x = zt_sub(zt_mul(akk, ri[j]), zt_mul(aik, rk[j]))
+                ri[j] = zt_div_exact(x, prev)
+        prev = akk
+    d = a[n - 1][n - 1] if n else (1,)
+    return d if sign > 0 else zt_neg(d)
+
+
+def det_laurent(rows) -> LaurentPoly:
+    """Exact determinant of a square matrix over Z[t], by Bareiss
+    elimination on coefficient tuples. Entries are ints or Z[t]
+    coefficient sequences."""
+    return laurent(_det_bareiss(rows))
+
+
+def _alexander_centred(v) -> tuple[tuple[int, ...], int]:
+    """(coeffs, shift) with Delta = t^shift * coeffs: det(V - tV^T) by
+    _det_bareiss moved to centred support and +1 at t = 1, or the
+    ValueError text alexander raises for a degenerate V."""
+    p = _det_bareiss(pencil(v, [[-x for x in col] for col in zip(*v)]))
+    if not p:
+        raise ValueError("degenerate presentation: zero Alexander determinant")
+    lo = next(e for e, c in enumerate(p) if c)
+    hi = len(p) - 1
+    if (lo + hi) % 2:
+        raise ValueError("degenerate presentation: support cannot be centered")
+    at_one = sum(p)
+    if at_one not in (1, -1):
+        raise ValueError(f"degenerate presentation: value {at_one} at t=1")
+    return tuple(at_one * c for c in p), -(lo + hi) // 2
 
 
 def alexander_laurent(v) -> LaurentPoly:
-    """det_laurent(V - tV^T) moved to centred support and +1 at t = 1,
-    or the ValueError text alexander raises for a degenerate V."""
-    p = det_laurent(laurent_pencil(v, [[-x for x in col] for col in zip(*v)]))
-    if p.is_zero:
-        raise ValueError("degenerate presentation: zero Alexander determinant")
-    lo, hi = p.min_exp, p.max_exp
-    if (lo + hi) % 2:
-        raise ValueError("degenerate presentation: support cannot be centered")
-    at_one = sum(p._c.values())
-    if at_one not in (1, -1):
-        raise ValueError(f"degenerate presentation: value {at_one} at t=1")
-    return LaurentPoly({e - (lo + hi) // 2: at_one * c for e, c in p._c.items()})
-
-
-def laurent_pencil(a, b) -> list[list[LaurentPoly]]:
-    """The matrix A + tB over Z[t, t^-1]."""
-    return [
-        [LaurentPoly({0: u, 1: v}) for u, v in zip(ra, rb)] for ra, rb in zip(a, b)
-    ]
+    """The Alexander polynomial of V by Bareiss elimination over Z[t]."""
+    return laurent(*_alexander_centred(v))
 
 
 def det_int_laurent(rows) -> int:
-    """Integer determinant by Bareiss over Z[t, t^-1], read at t = 1."""
-    return det_laurent(rows).evaluate_int(1)
+    """Integer determinant by Bareiss over Z[t], read at t = 1."""
+    return sum(_det_bareiss(rows))
 
 
 def determinant_via_alexander(v) -> int:
-    """|Delta(-1)| from the whole Alexander polynomial of V, by det_laurent."""
-    return abs(alexander_laurent(v).evaluate_int(-1))
+    """|Delta(-1)| from the whole Alexander polynomial of V, by
+    _det_bareiss."""
+    coeffs, shift = _alexander_centred(v)
+    return abs(sum(c if (e + shift) % 2 == 0 else -c for e, c in enumerate(coeffs)))
 
 
 def arf_symplectic(v) -> int:
@@ -198,7 +266,7 @@ def inertia_lagrange(rows) -> tuple[int, int, int]:
     with the full update: every entry right of the pivot column in every
     row below the pivot, so both triangles are eliminated and row and
     column k are zeroed after step k."""
-    n = _square_size(rows)
+    n = _square(rows)
     for row in rows:
         for x in row:
             if type(x) is not int and not isinstance(x, Fraction):
@@ -315,6 +383,23 @@ def mirror_surface(F: BandSurface) -> BandSurface:
         F.attach,
         [(ev.under, ev.over, -ev.sign) for ev in F.route],
     )
+
+
+def append_cancelling_pair(F: BandSurface, i: int, j: int, s: int) -> BandSurface:
+    """F with band i passing over band j twice more, with signs s and -s,
+    at fresh slots after each band's last slot: a Reidemeister II pair,
+    so the shape, framing, G and V are unchanged."""
+    fresh: dict[int, int] = {}
+    for ev in F.route:
+        for b, k in (ev.over, ev.under):
+            fresh[b] = max(fresh.get(b, 0), k + 1)
+
+    def slot(b: int) -> tuple[int, int]:
+        fresh[b] = fresh.get(b, 0) + 1
+        return b, fresh[b] - 1
+
+    pair = [(slot(i), slot(j), sign) for sign in (s, -s)]
+    return BandSurface.build([b.half_twists for b in F.bands], F.attach, [*F.route, *pair])
 
 
 def permute(m, perm) -> tuple[tuple[int, ...], ...]:

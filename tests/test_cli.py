@@ -506,6 +506,42 @@ class TestMalformedRelations:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+class TestMalformedMatricesAndRoutes:
+    """A matrix and each of its rows must be JSON lists of integers, and a
+    core route a JSON list of triples; anything else is one error line,
+    not a traceback, and an object is not read as a row of its keys."""
+
+    TREFOIL = '"seifert":[[-1,1],[0,-1]]'
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["invariants", "--seifert", "[5]"], "each matrix row must be a list"),
+            (["invariants", "--seifert", '{"a":1}'], "matrix must be a list of rows"),
+            (["cable", "--knot", '{"seifert":5}', "-p", "3"], "matrix must be a list of rows"),
+            (
+                ["cable", "--knot", f'{{{TREFOIL},"core_route":5}}', "-p", "3"],
+                "a core route must be a JSON list",
+            ),
+            (
+                ["cable", "--knot", f'{{{TREFOIL},"core_route":[5]}}', "-p", "3"],
+                "a core route event must be an (over_slot, under_slot, sign) triple",
+            ),
+            (
+                ["klein", "--coreK", "[5]", "--presetJ", "unknot", "-p", "3"],
+                "a core route event must be an (over_slot, under_slot, sign) triple",
+            ),
+        ],
+        ids=["int-row", "object-matrix", "int-seifert", "int-route", "int-event", "klein-int-event"],
+    )
+    def test_exit_1(self, capsys, argv, message):
+        code, out, err = call(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestProcessSmoke:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -6,6 +6,8 @@ Agreement on knots whose invariants are classical tables, plus a 2-cable
 consistency round trip, pins both sides at once.
 """
 
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
@@ -288,10 +290,71 @@ def _outcome(f, *args):
         return f"ValueError: {e}"
 
 
+def _value(c, x: int) -> int:
+    """A Z[t] coefficient tuple at t = x, by Horner's rule."""
+    total = 0
+    for v in reversed(c):
+        total = total * x + v
+    return total
+
+
+zts = st.lists(st.integers(-6, 6), max_size=5).map(oracles.zt)
+
+
+class TestPolynomialArithmetic:
+    """The references' own Z[t] arithmetic, which the library does not
+    share: ring laws, and every operation read at integer points."""
+
+    @settings(max_examples=60)
+    @given(zts, zts, zts)
+    def test_ring_laws(self, a, b, c):
+        add, mul, sub = oracles.zt_add, oracles.zt_mul, oracles.zt_sub
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
+        assert mul(add(a, b), c) == add(mul(a, c), mul(b, c))
+        assert add(a, ()) == a
+        assert mul(a, (1,)) == a
+        assert sub(a, a) == ()
+
+    @settings(max_examples=60)
+    @given(zts, zts, st.integers(-3, 3))
+    def test_values_and_exact_division(self, a, b, x):
+        assert _value(oracles.zt_add(a, b), x) == _value(a, x) + _value(b, x)
+        assert _value(oracles.zt_sub(a, b), x) == _value(a, x) - _value(b, x)
+        assert _value(oracles.zt_mul(a, b), x) == _value(a, x) * _value(b, x)
+        if b:
+            assert oracles.zt_div_exact(oracles.zt_mul(a, b), b) == a
+            if len(b) > 1:  # b is not a unit times a constant
+                with pytest.raises(ValueError, match="inexact"):
+                    oracles.zt_div_exact(oracles.zt_add(oracles.zt_mul(a, b), (1,)), b)
+
+    def test_trims_and_checks_coefficients(self):
+        assert oracles.zt([1, 2, 0, 0]) == (1, 2) and oracles.zt(0) == ()
+        with pytest.raises(ValueError, match="must be integers"):
+            oracles.zt([1, True])
+        assert oracles.laurent((1, -1, 1), -1) == alexander(((-1, 1), (0, -1)))
+
+
+def test_oracles_import_no_private_library_name():
+    """The references may use the library's public values, never its
+    internals, so that they share no private code with what they check."""
+    tree = ast.parse(pathlib.Path(oracles.__file__).read_text())
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("knotbands"):
+            parts = node.module.split(".") + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            parts = [p for a in node.names if a.name.startswith("knotbands") for p in a.name.split(".")]
+        else:
+            continue
+        private += [p for p in parts if p.startswith("_")]
+    assert private == []
+
+
 class TestIntegerDeterminantOracle:
     """det_int, determinant_knot and arf on a Seifert matrix against the
-    Laurent-polynomial route through oracles.det_laurent and
-    oracles.alexander_laurent."""
+    polynomial route through oracles.det_laurent and
+    oracles.alexander_laurent, on the oracles' own Z[t]."""
 
     def test_agrees_on_braid_and_random_matrices(self):
         rng = random.Random(11)
@@ -309,7 +372,7 @@ class TestIntegerDeterminantOracle:
                 cofactor += 1
             want = _outcome(oracles.determinant_via_alexander, m)
             assert _outcome(determinant_knot, m) == want, m
-            # the Arf rule on the Laurent route's |Delta(-1)|, or its error
+            # the Arf rule on the polynomial route's |Delta(-1)|, or its error
             if isinstance(want, int):
                 want = 0 if want % 8 in (1, 7) else 1
                 valid += 1
@@ -324,13 +387,13 @@ class TestIntegerDeterminantOracle:
 
 class TestAlexanderOracle:
     """alexander, and det_pencil under it, against Bareiss elimination
-    over Z[t, t^-1] (oracles.det_laurent), which shares no code with
-    det_int, and against cofactor expansion."""
+    over Z[t] (oracles.det_laurent), which shares no code with det_int,
+    and against cofactor expansion."""
 
     def test_alexander_agrees_on_braid_and_random_matrices(self):
         rng = random.Random(15)
-        # a third of them up to rank 20, the rest up to rank 8: the
-        # Laurent-ring oracle takes about 25 ms at rank 20
+        # a third of them up to rank 20, the rest up to rank 8: the Z[t]
+        # Bareiss oracle takes about 13 ms at rank 18-20, 1 ms at 6-8
         matrices = [
             _random_braid_seifert(rng, max_rank=rng.choice((8, 8, 20)))
             for _ in range(700)
@@ -357,11 +420,11 @@ class TestAlexanderOracle:
         for _ in range(400):
             n = rng.randint(0, 10)
             a, b = _random_square(rng, n), _random_square(rng, n)
-            pencil = oracles.laurent_pencil(a, b)
+            pencil = oracles.pencil(a, b)
             got = det_pencil(a, b)
             assert got == oracles.det_laurent(pencil), (a, b)
             if n <= 5:
-                assert got == oracles.det_cofactor(pencil), (a, b)
+                assert got == oracles.det_cofactor_zt(pencil), (a, b)
                 cofactor += 1
         assert cofactor >= 200
 

@@ -5,7 +5,8 @@ the surface, or changes it to its mirror image. The compiler must answer
 with the matching transform: relabelling the bands permutes the
 Gordon-Litherland form G and the Seifert matrix V; rotating the attach
 order changes nothing; the mirror negates G and the framing and takes V
-to -V^T. The shape is the same under all three.
+to -V^T; a cancelling pair of band-over-band events changes nothing. The
+shape is the same under all four.
 """
 
 import random
@@ -75,3 +76,18 @@ def test_the_mirror_negates_the_forms(seed, kind):
     # the mirror of the mirror is the surface itself
     assert oracles.mirror_surface(moved) == F
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), KINDS)
+def test_a_cancelling_pair_changes_nothing(seed, kind):
+    rng, F = _surface(seed, kind)
+    i, j = rng.randrange(F.n_bands), rng.randrange(F.n_bands)
+    moved = oracles.append_cancelling_pair(F, i, j, rng.choice((1, -1)))
+    assert len(moved.route) == len(F.route) + 2
+    assert validate_surface(moved) == []
+    assert shape(moved) == shape(F)
+    assert framing(moved) == framing(F)
+    assert gl_form(moved) == gl_form(F)
+    if F.orientable:
+        assert seifert_matrix(moved) == seifert_matrix(F)
