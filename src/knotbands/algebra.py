@@ -128,23 +128,10 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_string()!r})"
 
 
-def _square_size(rows: Sequence[Sequence]) -> int:
-    n = len(rows)
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("matrix must be square")
-    return n
-
-
-def int_matrix(rows, square: bool = True) -> list[list[int]]:
-    """A fresh list-of-lists copy of an integer matrix, checked.
-
-    The matrix and each of its rows must be a list or a tuple, so that a
-    JSON object or a string is not read as its keys or characters. Every
-    row has len(rows) entries when square, else as many as the first.
-    Every entry must be an int: floats and bools are rejected, not
-    truncated.
-    """
+def _check_shape(rows, square: bool = True) -> None:
+    """The matrix and each of its rows must be a list or a tuple, so that
+    a JSON object, a string or a number is not read as rows; every row
+    has len(rows) entries when square, else as many as the first."""
     if not isinstance(rows, (list, tuple)):
         raise ValueError(f"matrix must be a list of rows, got {rows!r}")
     for row in rows:
@@ -153,6 +140,15 @@ def int_matrix(rows, square: bool = True) -> list[list[int]]:
     width = len(rows) if square or not rows else len(rows[0])
     if any(len(row) != width for row in rows):
         raise ValueError("matrix must be square" if square else "ragged matrix")
+
+
+def int_matrix(rows, square: bool = True) -> list[list[int]]:
+    """A fresh list-of-lists copy of an integer matrix, checked.
+
+    The shape is checked by _check_shape. Every entry must be an int:
+    floats and bools are rejected, not truncated.
+    """
+    _check_shape(rows, square)
     for row in rows:
         for x in row:
             if type(x) is not int:
@@ -257,7 +253,8 @@ def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
     block stays a full symmetric matrix for the swap and repair steps.
     Row and column k are never read again and are left as they are.
     """
-    n = _square_size(rows)
+    _check_shape(rows)
+    n = len(rows)
     for row in rows:
         for x in row:
             if type(x) is not int and not isinstance(x, Fraction):

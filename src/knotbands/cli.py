@@ -47,12 +47,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json_arg(text: str):
-    """Inline JSON if the argument looks like JSON, else a file path."""
+    """Inline JSON if the argument looks like JSON, else a file path. An
+    argument that names no file but is JSON of another type (5, true,
+    "x") is reported as that, not as a missing file."""
     s = text.strip()
     if s.startswith("{") or s.startswith("["):
         return json.loads(s)
-    with open(text) as fh:
-        return json.load(fh)
+    try:
+        with open(text) as fh:
+            return json.load(fh)
+    except FileNotFoundError as missing:
+        try:
+            json.loads(s)
+        except ValueError:
+            raise missing from None
+        raise ValueError(f"expected a JSON object or list, got {s}") from None
 
 
 def _route(obj):

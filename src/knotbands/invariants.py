@@ -145,6 +145,11 @@ def alexander(seifert) -> LaurentPoly:
     return _normalize_alexander(det_pencil(V, minus_vt))
 
 
+def _symmetrized(V: Matrix) -> list[list[int]]:
+    """S = V + V^T."""
+    return [[x + y for x, y in zip(row, col)] for row, col in zip(V, zip(*V))]
+
+
 def _det_symmetrized(seifert) -> int:
     """det(V + V^T) for a Seifert matrix V that alexander accepts; raises
     alexander's ValueError for any other V (see determinant_knot)."""
@@ -152,7 +157,7 @@ def _det_symmetrized(seifert) -> int:
     n = len(V)
     if abs(det_int([[V[i][j] - V[j][i] for j in range(n)] for i in range(n)])) != 1:
         alexander(V)  # raises the degenerate-presentation error
-    return det_int([[V[i][j] + V[j][i] for j in range(n)] for i in range(n)])
+    return det_int(_symmetrized(V))
 
 
 def determinant_knot(seifert=None, gl=None) -> int:
@@ -193,36 +198,44 @@ def arf(source) -> int:
 
 def signature(seifert) -> int:
     """Ordinary knot signature, the signature of V + V^T."""
-    V = _as_matrix(seifert)
-    n = len(V)
-    return signature_exact([[V[i][j] + V[j][i] for j in range(n)] for i in range(n)])
+    return signature_exact(_symmetrized(_as_matrix(seifert)))
 
 
 def levine_tristram(seifert, omega: Omega) -> SignatureSample:
     """Signature of (1-omega)V + (1-conj(omega))V^T, exactly.
 
-    For s = p/q that Hermitian form is 2s^2/(1+s^2)/|p| > 0 times
-    a S + i b A with S = V+V^T, A = V^T-V, a = |p| and b = sign(p) q; at
-    omega = -1 it is 2S, so (a, b) = (1, 0). The integer symmetric
-    realification [[aS, -bA], [bA, aS]] has twice the signature of
-    a S + i b A, so one congruence diagonalization decides both the
-    value and singularity.
+    At omega = -1 the form is 2S with S = V+V^T, so the n x n integer
+    matrix S alone gives the value, and the sample is singular exactly
+    when S is.
+
+    For s = p/q the form is 2s^2/(1+s^2)/|p| > 0 times the Hermitian
+    a S + i b A with A = V^T-V, a = |p| and b = sign(p) q. Its integer
+    symmetric realification has twice the signature of a S + i b A, so
+    one congruence diagonalization decides both the value and
+    singularity. Rows and columns come in the order (Re_1, Im_1, ...,
+    Re_n, Im_n), a permutation congruence of [[aS, -bA], [bA, aS]] that
+    changes no value or singular flag. In this order the leading 2k x 2k
+    minors are the squared leading k x k minors of the Hermitian form,
+    so the elimination follows its LDL* and the fractions stay as small
+    as that decomposition's.
     """
     V = _as_matrix(seifert)
-    n = len(V)
+    S = _symmetrized(V)
     if omega.s is None:
-        a, b = 1, 0
-    else:
-        p, q = omega.s.numerator, omega.s.denominator
-        a, b = abs(p), q if p > 0 else -q
+        pos, neg, zero = inertia(S)
+        return SignatureSample(omega, None if zero else pos - neg)
+    p, q = omega.s.numerator, omega.s.denominator
+    a, b = abs(p), q if p > 0 else -q
+    n = len(V)
     big = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
+        re_row, im_row = big[2 * i], big[2 * i + 1]
         for j in range(n):
-            re = a * (V[i][j] + V[j][i])
+            re = a * S[i][j]
             im = b * (V[j][i] - V[i][j])
-            big[i][j] = big[n + i][n + j] = re
-            big[i][n + j] = -im
-            big[n + i][j] = im
+            re_row[2 * j] = im_row[2 * j + 1] = re
+            re_row[2 * j + 1] = -im
+            im_row[2 * j] = im
     pos, neg, zero = inertia(big)
     return SignatureSample(omega, None if zero else (pos - neg) // 2)
 

@@ -177,8 +177,28 @@ class TestInertia:
         with pytest.raises(ValueError, match="must be integers or Fractions"):
             signature_exact(rows)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([5], "each matrix row must be a list"),
+            ([[1], 5], "each matrix row must be a list"),
+            (["ab", "cd"], "each matrix row must be a list"),
+            (5, "matrix must be a list of rows"),
+            ({"a": [1]}, "matrix must be a list of rows"),
+            ([[1, 2]], "matrix must be square"),
+        ],
+        ids=repr,
+    )
+    def test_rejects_non_matrices(self, rows, message):
+        # the shape check of int_matrix, not a TypeError from len()
+        with pytest.raises(ValueError, match=message):
+            inertia(rows)
+        with pytest.raises(ValueError, match=message):
+            signature_exact(rows)
+
     def test_accepts_fractions(self):
         assert inertia([[Fraction(1, 2), 1], [1, Fraction(-3, 4)]]) == (1, 1, 0)
+        assert inertia(((Fraction(2), 1), (1, 2))) == (2, 0, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 5))

@@ -322,7 +322,14 @@ class TestErrorPaths:
         assert code == 0 and "invariants" in out
 
     def test_missing_file(self, capsys):
-        assert call(capsys, "band", "--surface", "/no/such/file.json")[0] == 1
+        code, _, err = call(capsys, "band", "--surface", "/no/such/file.json")
+        assert code == 1 and "No such file or directory" in err
+
+    def test_file_named_like_json_is_read(self, capsys, monkeypatch, tmp_path):
+        (tmp_path / "5").write_text("[[-1,1],[0,1]]")
+        monkeypatch.chdir(tmp_path)
+        code, data = call_json(capsys, "invariants", "--seifert", "5")
+        assert code == 0 and data["determinant"] == 5
 
     def test_malformed_json(self, capsys):
         assert call(capsys, "invariants", "--seifert", "[[degenerate")[0] == 1
@@ -531,8 +538,18 @@ class TestMalformedMatricesAndRoutes:
                 ["klein", "--coreK", "[5]", "--presetJ", "unknot", "-p", "3"],
                 "a core route event must be an (over_slot, under_slot, sign) triple",
             ),
+            # JSON of the wrong type, not a missing file named "5"
+            (["invariants", "--seifert", "5"], "expected a JSON object or list, got 5"),
+            (
+                ["klein", "--coreK", "5", "--coreJ", "[]", "-p", "3"],
+                "expected a JSON object or list, got 5",
+            ),
+            (["invariants", "--seifert", "true"], "expected a JSON object or list, got true"),
         ],
-        ids=["int-row", "object-matrix", "int-seifert", "int-route", "int-event", "klein-int-event"],
+        ids=[
+            "int-row", "object-matrix", "int-seifert", "int-route", "int-event",
+            "klein-int-event", "int-argument", "klein-int-argument", "bool-argument",
+        ],
     )
     def test_exit_1(self, capsys, argv, message):
         code, out, err = call(capsys, *argv)

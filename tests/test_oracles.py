@@ -173,6 +173,18 @@ def _random_knot_word(rng: random.Random) -> list[int]:
             return word
 
 
+def _knot_word_of_rank(rng: random.Random, rank: int) -> list[int]:
+    """A braid word on 2-5 strands whose closure is a knot with a Seifert
+    matrix of the given rank (word length minus strands plus one)."""
+    while True:
+        n = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rank + n - 1)]
+        if sorted({abs(c) for c in word}) == list(range(1, n)) and (
+            oracles.braid_closure_components(word) == 1
+        ):
+            return word
+
+
 def _random_matrix(rng: random.Random) -> list[list[int]]:
     """A random 1-4 square integer matrix; every third one has a zero
     first row and column, so every Hermitian form of it is singular."""
@@ -208,6 +220,41 @@ class TestLevineTristramOracle:
                 singular += got.singular
         assert compared >= 300 * 14
         assert singular > 0
+
+    def test_agrees_on_high_rank_braid_matrices(self):
+        # the ranks the seifert benchmark runs, where the elimination order
+        # of the realification decides how large the fractions grow
+        rng = random.Random(17)
+        points = list(DEFAULT_SAMPLES) + [Omega(Fraction(1)), Omega(Fraction(-1))]
+        for rank in (6, 6, 8, 8, 10, 10, 12, 12, 14, 14, 16, 20):
+            v = oracles.seifert_from_braid(_knot_word_of_rank(rng, rank))
+            assert len(v) == rank
+            for w in points:
+                got = levine_tristram(v, w)
+                want = oracles.levine_tristram_trig(v, *oracles.omega_trig(w.s))
+                assert (got.value, got.singular) == (want, False), (v, w)
+
+    def test_singular_symmetrization_at_minus_one(self):
+        # V = B^T D B + K with B of k < n rows, D = diag(+-1) and K
+        # skew-symmetric has V + V^T = 2 B^T D B of rank at most k
+        rng = random.Random(23)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            k = rng.randint(0, n - 1)
+            b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+            d = [rng.choice((1, -1)) for _ in range(k)]
+            v = [
+                [sum(b[r][i] * d[r] * b[r][j] for r in range(k)) for j in range(n)]
+                for i in range(n)
+            ]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    x = rng.randint(-3, 3)
+                    v[i][j] += x
+                    v[j][i] -= x
+            got = levine_tristram(v, Omega.minus_one())
+            assert oracles.levine_tristram_trig(v, *oracles.omega_trig(None)) is None
+            assert got.singular and got.value is None, v
 
     @settings(max_examples=100)
     @given(
