@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from math import gcd
 
 from .record import Record
 
@@ -252,6 +253,12 @@ def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
     j >= i, and every new value is copied into a[j][i], so the trailing
     block stays a full symmetric matrix for the swap and repair steps.
     Row and column k are never read again and are left as they are.
+
+    Integers stay integers until an update touches them. The rows are
+    copied as given, and swaps and repairs add ints to ints. Only the
+    pivot is made a Fraction, so every multiplier a[k][i] / d is one:
+    an int divided by an int would be a float. A zero a[k][i] is
+    skipped before any division.
     """
     _check_shape(rows)
     n = len(rows)
@@ -263,7 +270,7 @@ def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
                 )
     if not is_symmetric(rows):
         raise ValueError("matrix must be symmetric")
-    a = [[Fraction(rows[i][j]) for j in range(n)] for i in range(n)]
+    a = [list(row) for row in rows]
     pos = neg = 0
     for k in range(n):
         if a[k][k] == 0:
@@ -282,16 +289,16 @@ def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
                     a[k][col] += a[j][col]
                 for row in range(k, n):
                     a[row][k] += a[row][j]
-        d = a[k][k]
+        d = Fraction(a[k][k])
         if d > 0:
             pos += 1
         else:
             neg += 1
         ak = a[k]
         for i in range(k + 1, n):
-            f = ak[i] / d
-            if f == 0:
+            if not ak[i]:
                 continue
+            f = ak[i] / d
             ai = a[i]
             for j in range(i, n):
                 ai[j] = a[j][i] = ai[j] - f * ak[j]
@@ -299,7 +306,7 @@ def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
     return pos, neg, zero
 
 
-def _sym_swap(a: list[list[Fraction]], i: int, j: int) -> None:
+def _sym_swap(a: list[list], i: int, j: int) -> None:
     a[i], a[j] = a[j], a[i]
     for row in a:
         row[i], row[j] = row[j], row[i]
@@ -321,10 +328,19 @@ def signature_exact(rows: Sequence[Sequence]) -> int:
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
-    """Invariant factors d1 | d2 | ... (each >= 1) and rank of an integer matrix."""
+    """Invariant factors d1 | d2 | ... (each >= 1) and rank of an integer matrix.
+
+    A nonsingular square matrix is reduced modulo its determinant
+    (_smith_mod_det), so no entry outgrows |det|. Singular and non-square
+    input is reduced over Z, where entries can grow without bound.
+    """
     a = int_matrix(rows, square=False)
     m = len(a)
     n = len(a[0]) if m else 0
+    if m == n and m:
+        det = abs(det_int(a))
+        if det:
+            return _smith_mod_det(a, det), n
     factors: list[int] = []
     t = 0
     while t < min(m, n):
@@ -370,6 +386,73 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], i
     # enforce the divisibility chain ordering (already divisible; normalize order)
     factors.sort()
     return tuple(factors), len(factors)
+
+
+def _smith_mod_det(a: list[list[int]], det: int) -> tuple[int, ...]:
+    """Invariant factors of a nonsingular n x n integer matrix with
+    |det| = det, computed modulo det.
+
+    det * M^-1 is the integer adjugate (up to sign), so the row lattice of
+    M contains det * Z^n, and Z^n / rows(M) is a module over Z/det that
+    unimodular row and column steps taken mod det do not change. They
+    bring M to a diagonal (e_1, ..., e_n); the group is then the sum of
+    the Z/gcd(e_i, det), and a gcd/lcm pass turns those orders into the
+    divisibility chain. Rows and columns before t are already clear, so
+    step t touches only the trailing block.
+    """
+    n = len(a)
+    a = [[x % det for x in row] for row in a]
+    diag = []
+    for t in range(n):
+        rt = a[t]
+        clear = False
+        while not clear:
+            for i in range(t + 1, n):
+                ri = a[i]
+                if ri[t]:
+                    (c00, c01), (c10, c11) = _pivot_step(rt[t], ri[t], det)
+                    for j in range(t, n):
+                        x, y = rt[j], ri[j]
+                        rt[j], ri[j] = (c00 * x + c01 * y) % det, (c10 * x + c11 * y) % det
+            clear = True
+            for j in range(t + 1, n):
+                if rt[j]:
+                    step = _pivot_step(rt[t], rt[j], det)
+                    clear = clear and step[0] == (1, 0)
+                    (c00, c01), (c10, c11) = step
+                    for i in range(t, n):
+                        ri = a[i]
+                        x, y = ri[t], ri[j]
+                        ri[t], ri[j] = (c00 * x + c01 * y) % det, (c10 * x + c11 * y) % det
+        diag.append(gcd(rt[t], det))
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return tuple(diag)
+
+
+def _pivot_step(p: int, x: int, det: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """A 2 x 2 matrix of determinant 1 that takes (p, x) to (p', 0) mod det.
+
+    When g = gcd(p, det) divides x, p divides x in Z/det, and the step
+    subtracts a multiple of p and keeps it: ((1, 0), (-q, 1)). (The
+    extended gcd alone could swap two equal entries back and forth
+    forever.) Otherwise p' = gcd(p, x) from the extended gcd, and
+    gcd(p', det) is a proper divisor of g, so a pivot takes at most
+    log2(det) such steps.
+    """
+    g = gcd(p, det)
+    if x % g == 0:
+        m = det // g
+        q = x // g * pow(p // g, -1, m) % m
+        return (1, 0), (-q, 1)
+    # extended Euclid: g = u*p + v*x, as p, x >= 0 and not both 0
+    u, v, u1, v1, r, r1 = 1, 0, 0, 1, p, x
+    while r1:
+        k = r // r1
+        u, v, u1, v1, r, r1 = u1, v1, u - k * u1, v - k * v1, r1, r - k * r1
+    return (u, v), (-x // r, p // r)
 
 
 def _smallest_nonzero(a, t):

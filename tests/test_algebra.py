@@ -1,4 +1,7 @@
+import time
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from knotbands.algebra import (
     smith_normal_form,
     transpose,
 )
-from oracles import det_cofactor_zt, det_laurent, pencil
+from oracles import det_cofactor, det_cofactor_zt, det_laurent, pencil
 
 
 class TestLaurentPoly:
@@ -200,6 +203,12 @@ class TestInertia:
         assert inertia([[Fraction(1, 2), 1], [1, Fraction(-3, 4)]]) == (1, 1, 0)
         assert inertia(((Fraction(2), 1), (1, 2))) == (2, 0, 0)
 
+    def test_large_integers_stay_exact(self):
+        # det = -1; with int / int the multiplier is a float, the Schur
+        # complement rounds to 0 and the answer would read (1, 0, 1)
+        big = 10 ** 20
+        assert inertia([[big, big + 1], [big + 1, big + 2]]) == (1, 1, 0)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 5))
     def test_congruence_invariance(self, seed, n):
@@ -263,6 +272,91 @@ class TestSmith:
             for i in range(rows)
         ]
         assert smith_normal_form(m) == smith_normal_form(pmq)
+
+
+SEVEN = [
+    [2, -9, 7, -15, -14, 16, -12],
+    [-9, 5, -15, 14, -5, -16, -13],
+    [7, -15, 9, 8, -14, -3, -13],
+    [-15, 14, 8, 17, 9, -15, 18],
+    [-14, -5, -14, 9, -11, -4, -15],
+    [16, -16, -3, -15, -4, 18, 7],
+    [-12, -13, -13, 18, -15, 7, -15],
+]
+
+
+def _determinantal_factors(m):
+    """Invariant factors from the determinantal divisors: d_k is the gcd
+    of the k x k minors (by cofactor expansion), and s_k = d_k / d_(k-1)."""
+    n = len(m)
+    factors, prev = [], 1
+    for k in range(1, n + 1):
+        d = 0
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(n), k):
+                d = gcd(d, det_cofactor([[m[i][j] for j in cols] for i in rows]))
+        if d == 0:
+            break
+        factors.append(d // prev)
+        prev = d
+    return tuple(factors), len(factors)
+
+
+class TestSmithModDet:
+    """Nonsingular square input is reduced modulo |det|."""
+
+    @pytest.mark.parametrize(
+        "scale, factors",
+        [(1, (1, 1, 1, 1, 1, 1, 383210848)), (6, (6, 6, 6, 6, 6, 6, 2299265088))],
+    )
+    def test_seven_by_seven(self, scale, factors):
+        # reduced over Z, the unscaled matrix does not finish in 20 s
+        m = [[scale * x for x in row] for row in SEVEN]
+        start = time.perf_counter()
+        assert smith_normal_form(m) == (factors, 7)
+        assert time.perf_counter() - start < 1
+        if scale == 1:
+            assert abs(det_int(m)) == 383210848
+            assert str(fp_abelian_invariants(7, m)) == "Z/383210848"
+
+    def test_agrees_with_general_path(self):
+        # a zero row makes the matrix non-square, which takes the path over Z
+        import random
+
+        rng = random.Random(11)
+        checked = 0
+        for _ in range(1500):
+            n = rng.randint(1, 5)
+            scale = rng.choice((1, 1, 2, 3, 4, 6, 12))
+            m = [[scale * rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            if det_int(m) == 0:
+                continue
+            assert smith_normal_form(m) == smith_normal_form(m + [[0] * n]), m
+            checked += 1
+        assert checked >= 1200
+
+    def test_agrees_with_determinantal_divisors(self):
+        import random
+
+        rng = random.Random(12)
+        checked = 0
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            scale = rng.choice((1, 2, 3, 4, 6))
+            m = [[scale * rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            if det_int(m) == 0:
+                continue
+            assert smith_normal_form(m) == _determinantal_factors(m), m
+            checked += 1
+        assert checked >= 300
+
+    def test_units_and_equal_entries(self):
+        # equal entries end in a subtraction step, not an endless swap
+        assert smith_normal_form([[1]]) == ((1,), 1)
+        assert smith_normal_form([[-4]]) == ((4,), 1)
+        assert smith_normal_form([[2, 2], [2, -2]]) == ((2, 4), 2)
+        assert smith_normal_form([[3, 3, 3], [3, 3, -3], [3, -3, 3]]) == ((3, 6, 6), 3)
+        assert smith_normal_form([[0, 1], [1, 0]]) == ((1, 1), 2)
 
 
 class TestAbelianInvariants:

@@ -1,31 +1,52 @@
-"""The benchmark's tracer still loads and counts against the library.
+"""The benchmark's tracer still loads and counts against the library,
+and the benchmark's own output check passes on one round of each
+workload.
 
 ``bench/tracing.py`` imports ``knotbands.diagram`` and wraps the public
 functions of every layer; its ``bandform.compile_curves.crossings``
-counter reads ``compile_curves(...).diagram.crossings``. A library change
-that breaks either shows up here, in the tier-1 suite, and not only when
-the benchmark runs. The test only reads ``bench/``.
+counter reads ``compile_curves(...).diagram.crossings``.
+``bench/worker.py`` checks every item's output against the workload's
+integer identities and, on seed 0, against the digests in
+``bench/recorded.json``. A library change that breaks any of these shows
+up here, in the tier-1 suite, and not only when the benchmark runs. The
+tests only read ``bench/``.
 """
 
 import contextlib
+import functools
 import importlib.util
 import io
 import pathlib
+import sys
+
+import pytest
 
 from knotbands import bandform, cli, get_preset
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+@functools.cache
+def _load_worker():
+    # the worker puts src/, tests/ and bench/ in front of sys.path to
+    # import its workloads; the suite's own path is put back afterwards
+    saved = list(sys.path)
+    try:
+        return _load("bench_worker", BENCH / "worker.py")
+    finally:
+        sys.path[:] = saved
+
+
 def test_tracer_counts_compiled_crossings():
-    tracer = _load_tracing().Tracer()
+    tracer = _load("bench_tracing", TRACING).Tracer()
     F = get_preset("trefoil").orientable_surface
     with tracer.active(), contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.run(["klein", "--presetK", "trefoil", "--presetJ", "t25", "-p", "3"])
@@ -40,3 +61,12 @@ def test_tracer_counts_compiled_crossings():
     # the wrappers are gone again once the block ends
     assert bandform.compile_curves.__module__ == "knotbands.bandform"
     assert not hasattr(bandform.compile_curves, "__wrapped__")
+
+
+@pytest.mark.parametrize("name, round_size", [("surfaces", 15), ("seifert", 9), ("cables", 27)])
+def test_one_round_matches_recorded_outputs(name, round_size):
+    worker = _load_worker()
+    assert len(worker.WORKLOADS[name].classes) == round_size
+    result = worker.run_workload(name, seed=0, seconds=0, trace=False, items=round_size)
+    assert result["attempted"] == round_size
+    assert result["failed"] == 0, result["problems"]

@@ -547,11 +547,16 @@ class TestInertiaOracle:
             return algebra.inertia(rows)
 
         monkeypatch.setattr(invariants, "inertia", keep)
-        while len(realified) < 300:
+        # 67 draws reach 300 on this seed; the bound turns a hook that
+        # levine_tristram no longer calls into a failure, not a hang
+        for _ in range(200):
+            if len(realified) >= 300:
+                break
             v = _random_braid_seifert(rng)
             if len(v) <= 6:
                 for w in DEFAULT_SAMPLES:
                     levine_tristram(v, w)
+        assert len(realified) >= 300, "levine_tristram did not call invariants.inertia"
         matrices += realified
         fractions = 0
         for m in matrices:
