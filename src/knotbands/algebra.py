@@ -1,8 +1,10 @@
 """Exact algebra substrate: the integer Laurent polynomial as a value
 (product, negation, shift, t -> t^k, evaluation; no ring sum), one check
-of integer-matrix input, the fraction-free integer determinant and
-det(A + tB) from it, congruence signatures of symmetric matrices, Smith
-normal form, and invariants of finitely presented abelian groups.
+of integer-matrix input, one fraction-free elimination that gives the
+rank and a nonzero maximal minor, the integer determinant and
+det(A + tB) from it, Smith normal form modulo that minor, congruence
+signatures of symmetric matrices, and invariants of finitely presented
+abelian groups.
 
 No floating point is used anywhere; all arithmetic is over unbounded
 integers and rationals.
@@ -160,35 +162,54 @@ def int_matrix(rows, square: bool = True) -> list[list[int]]:
 def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (empty matrix -> 1).
 
-    Fraction-free Bareiss elimination over Z (Bareiss, Math. Comp. 1968):
-    after step k every entry of the trailing block is a (k+1)-minor of the
-    input, so the division by the previous pivot is exact and ``//`` never
-    rounds. A row swap flips the sign. Entries must be ints; floats, bools
-    and LaurentPoly entries are rejected. This is the library's one
-    elimination for determinants; det_pencil builds det(A + tB) from it.
+    The last pivot of _bareiss when the rank is full, else 0. Entries
+    must be ints; floats, bools and LaurentPoly entries are rejected.
+    det_pencil builds det(A + tB) from it.
     """
     a = int_matrix(rows)
-    n = len(a)
-    if n == 0:
-        return 1
+    rank, minor = _bareiss(a)
+    return minor if rank == len(a) else 0
+
+
+def _bareiss(a: list[list[int]]) -> tuple[int, int]:
+    """Rank r of an m x n integer matrix, and +-a nonzero r x r minor.
+
+    Fraction-free Bareiss elimination over Z (Bareiss, Math. Comp. 1968),
+    in place on a. When column k has no pivot in rows k.., a later column
+    that has one is swapped in. The swaps permute the input to P a Q, and
+    after step k every entry of the trailing block is a (k+1)-minor of
+    P a Q, so the division by the previous pivot is exact and ``//``
+    never rounds. The pivot of step k is the leading (k+1)-minor; when
+    the trailing block is zero, every minor that borders the leading
+    r x r one is 0 and the rank is r. The minor comes back with the sign
+    of the swaps, so for a square matrix of full rank it is det(a). This
+    is the library's one elimination over Z.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
+    for k in range(min(m, n)):
+        piv = next(((i, j) for j in range(k, n) for i in range(k, m) if a[i][j]), None)
         if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
+            return k, sign * prev
+        i, j = piv
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        if j != k:
+            for row in a:
+                row[k], row[j] = row[j], row[k]
             sign = -sign
         rk = a[k]
         akk = rk[k]
-        for i in range(k + 1, n):
+        for i in range(k + 1, m):
             ri = a[i]
             aik = ri[k]
             for j in range(k + 1, n):
                 ri[j] = (akk * ri[j] - aik * rk[j]) // prev
         prev = akk
-    return sign * a[n - 1][n - 1]
+    return min(m, n), sign * prev
 
 
 def det_pencil(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> LaurentPoly:
@@ -328,123 +349,74 @@ def signature_exact(rows: Sequence[Sequence]) -> int:
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
-    """Invariant factors d1 | d2 | ... (each >= 1) and rank of an integer matrix.
+    """Invariant factors d1 | d2 | ... | dr (each >= 1) and rank r of an
+    integer matrix, computed modulo D = |a nonzero r x r minor|, so no
+    entry outgrows D.
 
-    A nonsingular square matrix is reduced modulo its determinant
-    (_smith_mod_det), so no entry outgrows |det|. Singular and non-square
-    input is reduced over Z, where entries can grow without bound.
+    _bareiss gives r and D. Why reducing modulo D is exact: d1...dr is
+    the gcd of all r x r minors, so every di divides D. Z^n / rows is
+    Z^(n-r) + sum Z/di, so its quotient by D, Z^n / (rows + D Z^n), is
+    sum Z/di + (Z/D)^(n-r). Row and column steps that are unimodular
+    mod D do not change that module; they bring the matrix to a diagonal
+    (e_1, ..., e_min(m,n)), which presents it as the sum of the
+    Z/gcd(e_i, D) and (Z/D)^(n-min(m,n)). Cancelling the last summand
+    leaves min(m, n) cyclic groups whose divisibility chain is
+    (d1, ..., dr, D, ..., D), and its first r entries are the answer.
+    For square nonsingular input D = |det|.
+
+    Step t clears column t and then row t of the trailing block with
+    _pivot_step; rows and columns before t are already clear. A gcd/lcm
+    pass turns the orders gcd(e_i, D) into the chain.
     """
-    a = int_matrix(rows, square=False)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m == n and m:
-        det = abs(det_int(a))
-        if det:
-            return _smith_mod_det(a, det), n
-    factors: list[int] = []
-    t = 0
-    while t < min(m, n):
-        piv = _smallest_nonzero(a, t)
-        if piv is None:
-            break
-        i, j = piv
-        a[t], a[i] = a[i], a[t]
-        for row in a:
-            row[t], row[j] = row[j], row[t]
-        while True:
-            # clear column t
-            again = False
-            for i in range(m):
-                if i == t or a[i][t] == 0:
-                    continue
-                q = a[i][t] // a[t][t]
-                for col in range(n):
-                    a[i][col] -= q * a[t][col]
-                if a[i][t] != 0:
-                    a[t], a[i] = a[i], a[t]
-                    again = True
-            # clear row t
-            for j in range(n):
-                if j == t or a[t][j] == 0:
-                    continue
-                q = a[t][j] // a[t][t]
-                for row in a:
-                    row[j] -= q * row[t]
-                if a[t][j] != 0:
-                    for row in a:
-                        row[t], row[j] = row[j], row[t]
-                    again = True
-            if again:
-                continue
-            bad = _non_divisible(a, t)
-            if bad is None:
-                break
-            for col in range(n):
-                a[t][col] += a[bad][col]
-        factors.append(abs(a[t][t]))
-        t += 1
-    # enforce the divisibility chain ordering (already divisible; normalize order)
-    factors.sort()
-    return tuple(factors), len(factors)
-
-
-def _smith_mod_det(a: list[list[int]], det: int) -> tuple[int, ...]:
-    """Invariant factors of a nonsingular n x n integer matrix with
-    |det| = det, computed modulo det.
-
-    det * M^-1 is the integer adjugate (up to sign), so the row lattice of
-    M contains det * Z^n, and Z^n / rows(M) is a module over Z/det that
-    unimodular row and column steps taken mod det do not change. They
-    bring M to a diagonal (e_1, ..., e_n); the group is then the sum of
-    the Z/gcd(e_i, det), and a gcd/lcm pass turns those orders into the
-    divisibility chain. Rows and columns before t are already clear, so
-    step t touches only the trailing block.
-    """
-    n = len(a)
-    a = [[x % det for x in row] for row in a]
+    rank, minor = _bareiss(int_matrix(rows, square=False))
+    if not rank:
+        return (), 0
+    mod = abs(minor)
+    a = [[x % mod for x in row] for row in rows]
+    m, n = len(a), len(a[0])
     diag = []
-    for t in range(n):
+    for t in range(min(m, n)):
         rt = a[t]
         clear = False
         while not clear:
-            for i in range(t + 1, n):
+            for i in range(t + 1, m):
                 ri = a[i]
                 if ri[t]:
-                    (c00, c01), (c10, c11) = _pivot_step(rt[t], ri[t], det)
+                    (c00, c01), (c10, c11) = _pivot_step(rt[t], ri[t], mod)
                     for j in range(t, n):
                         x, y = rt[j], ri[j]
-                        rt[j], ri[j] = (c00 * x + c01 * y) % det, (c10 * x + c11 * y) % det
+                        rt[j], ri[j] = (c00 * x + c01 * y) % mod, (c10 * x + c11 * y) % mod
             clear = True
             for j in range(t + 1, n):
                 if rt[j]:
-                    step = _pivot_step(rt[t], rt[j], det)
+                    step = _pivot_step(rt[t], rt[j], mod)
                     clear = clear and step[0] == (1, 0)
                     (c00, c01), (c10, c11) = step
-                    for i in range(t, n):
+                    for i in range(t, m):
                         ri = a[i]
                         x, y = ri[t], ri[j]
-                        ri[t], ri[j] = (c00 * x + c01 * y) % det, (c10 * x + c11 * y) % det
-        diag.append(gcd(rt[t], det))
-    for i in range(n):
-        for j in range(i + 1, n):
+                        ri[t], ri[j] = (c00 * x + c01 * y) % mod, (c10 * x + c11 * y) % mod
+        diag.append(gcd(rt[t], mod))
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
             g = gcd(diag[i], diag[j])
             diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return tuple(diag)
+    return tuple(diag[:rank]), rank
 
 
-def _pivot_step(p: int, x: int, det: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """A 2 x 2 matrix of determinant 1 that takes (p, x) to (p', 0) mod det.
+def _pivot_step(p: int, x: int, mod: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """A 2 x 2 matrix of determinant 1 that takes (p, x) to (p', 0) modulo mod.
 
-    When g = gcd(p, det) divides x, p divides x in Z/det, and the step
+    When g = gcd(p, mod) divides x, p divides x in Z/mod, and the step
     subtracts a multiple of p and keeps it: ((1, 0), (-q, 1)). (The
     extended gcd alone could swap two equal entries back and forth
     forever.) Otherwise p' = gcd(p, x) from the extended gcd, and
-    gcd(p', det) is a proper divisor of g, so a pivot takes at most
-    log2(det) such steps.
+    gcd(p', mod) is a proper divisor of g, so a pivot takes at most
+    log2(mod) such steps.
     """
-    g = gcd(p, det)
+    g = gcd(p, mod)
     if x % g == 0:
-        m = det // g
+        m = mod // g
         q = x // g * pow(p // g, -1, m) % m
         return (1, 0), (-q, 1)
     # extended Euclid: g = u*p + v*x, as p, x >= 0 and not both 0
@@ -453,24 +425,6 @@ def _pivot_step(p: int, x: int, det: int) -> tuple[tuple[int, int], tuple[int, i
         k = r // r1
         u, v, u1, v1, r, r1 = u1, v1, u - k * u1, v - k * v1, r1, r - k * r1
     return (u, v), (-x // r, p // r)
-
-
-def _smallest_nonzero(a, t):
-    best = None
-    for i in range(t, len(a)):
-        for j in range(t, len(a[0])):
-            if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
-def _non_divisible(a, t):
-    d = a[t][t]
-    for i in range(t + 1, len(a)):
-        for j in range(t + 1, len(a[0])):
-            if a[i][j] % d != 0:
-                return i
-    return None
 
 
 class AbelianInvariants(Record):

@@ -64,6 +64,16 @@ def _load_json_arg(text: str):
         raise ValueError(f"expected a JSON object or list, got {s}") from None
 
 
+def _known_keys(obj: dict, keys: tuple[str, str], what: str) -> None:
+    """A key outside keys is an input error, not ignored: a misspelt
+    "relations" would read as no relations."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(
+                f'{what} has an unknown key {key!r}; expected "{keys[0]}" and "{keys[1]}"'
+            )
+
+
 def _route(obj):
     """A core route from parsed JSON: a list of [over_slot, under_slot,
     sign] triples."""
@@ -81,6 +91,8 @@ def _knot_record(args, flag: str, preset_flag: str):
         pk = get_preset(name)
         return pk.seifert, (pk.core_route or ())
     obj = _load_json_arg(getattr(args, flag))
+    if isinstance(obj, dict):
+        _known_keys(obj, ("seifert", "core_route"), "knot record")
     if not isinstance(obj, dict) or "seifert" not in obj:
         raise ValueError(
             'knot record must be a JSON object with a "seifert" matrix '
@@ -270,6 +282,8 @@ def _cmd_obstruct_cable(args) -> int:
 
 def _cmd_homology(args) -> int:
     obj = _load_json_arg(args.presentation)
+    if isinstance(obj, dict):
+        _known_keys(obj, ("generators", "relations"), "presentation")
     if not isinstance(obj, dict) or "generators" not in obj:
         raise ValueError(
             'presentation must be a JSON object with "generators" and "relations"'

@@ -77,6 +77,11 @@ class Omega(Record):
     def from_json(data: dict) -> "Omega":
         if not isinstance(data, dict):
             raise ValueError(f"sample point must be a JSON object, got {data!r}")
+        for key in data:
+            if key not in ("omega", "s"):
+                raise ValueError(
+                    f'sample point has an unknown key {key!r}; expected "omega" or "s"'
+                )
         if "omega" in data and "s" in data:
             raise ValueError(f"sample point names both omega and s: {data!r}")
         if "omega" in data:

@@ -18,6 +18,8 @@ took before ``det_pencil`` read det(A + tB) off integer determinants;
 ``determinant_via_alexander`` go through it, the reference for
 ``alexander``, ``det_int`` and the knot determinant. ``det_cofactor``
 expands an integer matrix, ``det_cofactor_zt`` a matrix over Z[t].
+``smith_over_z`` is the Smith normal form by reduction over Z, the
+reference for ``smith_normal_form``, which reduces modulo a minor.
 Results are handed back as a ``LaurentPoly`` only to be compared with
 the library's.
 ``validate_diagram`` checks that the signed crossings between components
@@ -223,6 +225,82 @@ def determinant_via_alexander(v) -> int:
     _det_bareiss."""
     coeffs, shift = _alexander_centred(v)
     return abs(sum(c if (e + shift) % 2 == 0 else -c for e, c in enumerate(coeffs)))
+
+
+def smith_over_z(rows) -> tuple[tuple[int, ...], int]:
+    """Invariant factors and rank of an integer matrix by reduction over
+    Z, the route the library took for singular and non-square input
+    before smith_normal_form reduced modulo a maximal minor: the entry
+    of least absolute value is the pivot, its row and column are cleared
+    by division with remainder, and a trailing entry it does not divide
+    is added into its row. Entries can grow without bound."""
+    a = [list(r) for r in rows]
+    for r in a:
+        for e in r:
+            if type(e) is not int:
+                raise ValueError(f"matrix entries must be integers, got {e!r}")
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if any(len(r) != n for r in a):
+        raise ValueError("ragged matrix")
+    factors = []
+    for t in range(min(m, n)):
+        piv = _smallest_nonzero(a, t)
+        if piv is None:
+            break
+        i, j = piv
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        while True:
+            again = False
+            for i in range(m):  # clear column t
+                if i == t or a[i][t] == 0:
+                    continue
+                q = a[i][t] // a[t][t]
+                for col in range(n):
+                    a[i][col] -= q * a[t][col]
+                if a[i][t] != 0:
+                    a[t], a[i] = a[i], a[t]
+                    again = True
+            for j in range(n):  # clear row t
+                if j == t or a[t][j] == 0:
+                    continue
+                q = a[t][j] // a[t][t]
+                for row in a:
+                    row[j] -= q * row[t]
+                if a[t][j] != 0:
+                    for row in a:
+                        row[t], row[j] = row[j], row[t]
+                    again = True
+            if again:
+                continue
+            bad = _non_divisible(a, t)
+            if bad is None:
+                break
+            for col in range(n):
+                a[t][col] += a[bad][col]
+        factors.append(abs(a[t][t]))
+    factors.sort()
+    return tuple(factors), len(factors)
+
+
+def _smallest_nonzero(a, t):
+    best = None
+    for i in range(t, len(a)):
+        for j in range(t, len(a[0])):
+            if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                best = (i, j)
+    return best
+
+
+def _non_divisible(a, t):
+    d = a[t][t]
+    for i in range(t + 1, len(a)):
+        for j in range(t + 1, len(a[0])):
+            if a[i][j] % d != 0:
+                return i
+    return None
 
 
 def arf_symplectic(v) -> int:

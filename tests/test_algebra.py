@@ -18,7 +18,7 @@ from knotbands.algebra import (
     smith_normal_form,
     transpose,
 )
-from oracles import det_cofactor, det_cofactor_zt, det_laurent, pencil
+from oracles import det_cofactor, det_cofactor_zt, det_laurent, pencil, smith_over_z
 
 
 class TestLaurentPoly:
@@ -137,6 +137,15 @@ class TestDeterminants:
         assert det_int([[0, 2, 1], [3, 0, 1], [1, 1, 0]]) == 5
         assert det_int([[0, 0], [1, 1]]) == 0
         assert det_int([[1, 2], [2, 4]]) == 0
+        # a zero first column: the elimination swaps in a later column and
+        # goes on, and the short rank gives 0
+        assert det_int([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+        assert det_int([[0, 0, 0], [0, 1, 2], [0, 3, 5]]) == 0
+        # column 1 has no pivot after step 0; row 2 = row 0 + row 1
+        assert det_int([[1, 2, 3], [2, 4, 5], [3, 6, 8]]) == 0
+        # a row swap at step 1, after elimination zeroed the pivot
+        assert det_int([[1, 2, 3], [2, 4, 7], [1, 1, 1]]) == 1
+        assert det_int([[0, 2, 1], [0, 0, 3], [4, 0, 0]]) == 24
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 4))
@@ -238,6 +247,12 @@ class TestSmith:
         assert smith_normal_form([[2, 0], [0, 3]]) == ((1, 6), 2)
         assert smith_normal_form([[0, 0], [0, 0]]) == ((), 0)
         assert smith_normal_form([[6, 4], [4, 6]]) == ((2, 10), 2)
+        assert smith_normal_form([]) == ((), 0)
+        assert smith_normal_form([[], []]) == ((), 0)
+        assert smith_normal_form([[0, 4, 6]]) == ((2,), 1)
+        assert smith_normal_form([[2], [0], [4]]) == ((2,), 1)
+        assert smith_normal_form([[2, 4], [3, 6], [0, 0]]) == ((1,), 1)
+        assert smith_normal_form([[0, 0, 2], [0, 0, 4], [0, 6, 0]]) == ((2, 6), 2)
 
     @pytest.mark.parametrize(
         "rows", [[[2.7, 0], [0, True]], [[2, 0], [0, 1.0]], [[False]]], ids=repr
@@ -287,14 +302,15 @@ SEVEN = [
 
 def _determinantal_factors(m):
     """Invariant factors from the determinantal divisors: d_k is the gcd
-    of the k x k minors (by cofactor expansion), and s_k = d_k / d_(k-1)."""
-    n = len(m)
+    of the k x k minors (by cofactor expansion), and s_k = d_k / d_(k-1).
+    The rank is the last k with a nonzero k x k minor."""
+    rows, cols = len(m), len(m[0])
     factors, prev = [], 1
-    for k in range(1, n + 1):
+    for k in range(1, min(rows, cols) + 1):
         d = 0
-        for rows in combinations(range(n), k):
-            for cols in combinations(range(n), k):
-                d = gcd(d, det_cofactor([[m[i][j] for j in cols] for i in rows]))
+        for ri in combinations(range(rows), k):
+            for ci in combinations(range(cols), k):
+                d = gcd(d, det_cofactor([[m[i][j] for j in ci] for i in ri]))
         if d == 0:
             break
         factors.append(d // prev)
@@ -302,8 +318,53 @@ def _determinantal_factors(m):
     return tuple(factors), len(factors)
 
 
+def _random_matrix(rng, rows, cols):
+    """A random rows x cols integer matrix of rank at most r, for a random
+    r: each row is one of r base rows with entries in [-6, 6], a sum or
+    difference of two, a combination of all with coefficients in
+    {-1, 0, 1}, or zero; then the matrix is scaled now and then. The
+    entries stay small because the reduction over Z in the oracles makes
+    them explode on denser input: on DENSE it reached entries of about
+    12 million bits."""
+    r = rng.randint(0, min(rows, cols))
+    base = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(r)]
+    m = []
+    for _ in range(rows):
+        pick = rng.random() if base else 1
+        if pick < 0.35:
+            row = list(rng.choice(base))
+        elif pick < 0.7:
+            u, v = rng.choice(base), rng.choice(base)
+            e = rng.choice((1, -1))
+            row = [x + e * y for x, y in zip(u, v)]
+        elif pick < 0.95:
+            coef = [rng.choice((-1, 0, 1)) for _ in base]
+            row = [sum(c * b[j] for c, b in zip(coef, base)) for j in range(cols)]
+        else:
+            row = [0] * cols
+        m.append(row)
+    scale = rng.choice((1, 1, 1, 2, 3, 6))
+    return [[scale * x for x in row] for row in m]
+
+
+DENSE = [
+    [102, -114, 60, -120, -42],
+    [-96, 108, -192, 78, 96],
+    [132, -102, 162, -84, -108],
+    [-132, 42, -78, -84, 108],
+]
+
+PINNED = [
+    # (matrix, smith_normal_form, homology); each hung when reduced over Z
+    (SEVEN + [[0] * 7], ((1, 1, 1, 1, 1, 1, 383210848), 7), "Z/383210848"),
+    (SEVEN[:6] + [[x + y for x, y in zip(SEVEN[0], SEVEN[1])]], ((1,) * 6, 6), "Z"),
+    ([row + [0] for row in SEVEN], ((1, 1, 1, 1, 1, 1, 383210848), 7), "Z x Z/383210848"),
+]
+
+
 class TestSmithModDet:
-    """Nonsingular square input is reduced modulo |det|."""
+    """Every input is reduced modulo a nonzero maximal minor; for a
+    nonsingular square matrix that minor is det."""
 
     @pytest.mark.parametrize(
         "scale, factors",
@@ -320,7 +381,7 @@ class TestSmithModDet:
             assert str(fp_abelian_invariants(7, m)) == "Z/383210848"
 
     def test_agrees_with_general_path(self):
-        # a zero row makes the matrix non-square, which takes the path over Z
+        # the reduction over Z that the library took before is the oracle
         import random
 
         rng = random.Random(11)
@@ -331,7 +392,7 @@ class TestSmithModDet:
             m = [[scale * rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
             if det_int(m) == 0:
                 continue
-            assert smith_normal_form(m) == smith_normal_form(m + [[0] * n]), m
+            assert smith_normal_form(m) == smith_over_z(m), m
             checked += 1
         assert checked >= 1200
 
@@ -349,6 +410,54 @@ class TestSmithModDet:
             assert smith_normal_form(m) == _determinantal_factors(m), m
             checked += 1
         assert checked >= 300
+        # rectangular and singular input
+        kinds = set()
+        for _ in range(300):
+            m = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+            want = _determinantal_factors(m)
+            assert smith_normal_form(m) == want, m
+            kinds.add((want[1] < min(len(m), len(m[0])), len(m) == len(m[0])))
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+        assert smith_normal_form(DENSE) == _determinantal_factors(DENSE) == ((6, 6, 6, 4056), 4)
+
+    def test_agrees_with_reduction_over_z(self):
+        import random
+
+        rng = random.Random(17)
+        seen = set()
+        for _ in range(3000):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            m = _random_matrix(rng, rows, cols)
+            got = smith_normal_form(m)
+            assert got == smith_over_z(m), m
+            seen.add((min(rows, cols), got[1]))
+        # every rank 0..min(m, n) of every smaller side, the zero matrix too
+        assert seen == {(k, r) for k in range(1, 6) for r in range(k + 1)}
+
+    @pytest.mark.parametrize(
+        "m, factors, group", PINNED, ids=["zero-row", "sum-row", "zero-column"]
+    )
+    def test_pinned_inputs_that_hung_over_z(self, m, factors, group):
+        start = time.perf_counter()
+        assert smith_normal_form(m) == factors
+        assert str(fp_abelian_invariants(len(m[0]), m)) == group
+        assert time.perf_counter() - start < 1
+
+    def test_pinned_inputs_by_determinantal_divisors(self):
+        # D_6 = 1 and D_7 = |det SEVEN| with a zero row, D_7 = 0 with a sum row
+        def divisor(m, k, stop=None):
+            d = 0
+            for ri in combinations(range(len(m)), k):
+                for ci in combinations(range(len(m[0])), k):
+                    d = gcd(d, det_int([[m[i][j] for j in ci] for i in ri]))
+                    if d == stop:
+                        return d
+            return d
+
+        for m, factors, _ in PINNED[:2]:
+            assert divisor(m, 6, stop=1) == 1
+            d7 = divisor(m, 7)
+            assert factors == (((1,) * 6 + (d7,), 7) if d7 else ((1,) * 6, 6))
 
     def test_units_and_equal_entries(self):
         # equal entries end in a subtraction step, not an endless swap

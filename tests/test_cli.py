@@ -3,11 +3,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 from knotbands import BandSurface, bandform, cli, framing, obstruct
 from knotbands.cli import run
+from test_algebra import PINNED
 
 TREFOIL_CORE_JSON = "[[0,3,1],[4,1,1],[2,5,1]]"
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -252,6 +254,19 @@ class TestHomology:
         assert data["free_rank"] == 2
         assert data["torsion"] == [2]
 
+    @pytest.mark.parametrize(
+        "relations, group",
+        [(m, group) for m, _, group in PINNED],
+        ids=["zero-row", "sum-row", "zero-column"],
+    )
+    def test_singular_and_non_square(self, capsys, relations, group):
+        # each hung while such matrices were reduced over Z
+        presentation = json.dumps({"generators": len(relations[0]), "relations": relations})
+        start = time.perf_counter()
+        code, out, _ = call(capsys, "--format", "text", "homology", "--presentation", presentation)
+        assert time.perf_counter() - start < 1
+        assert code == 0 and out == f"{group}\n"
+
 
 class TestVerify:
     def test_small_run_passes(self, capsys):
@@ -455,6 +470,59 @@ class TestMalformedSamples:
         assert err == (
             "error: sample point names both omega and s: {'omega': -1, 's': '1/2'}\n"
         )
+
+
+class TestUnknownKeys:
+    """A presentation, a knot record and a sample point take only their
+    own keys. A misspelt key was ignored, and the answer changed: a
+    "relation" gave no relations, a "core_rout" the unknot core."""
+
+    TREFOIL = '"seifert":[[-1,1],[0,-1]]'
+    RECORD = 'expected "seifert" and "core_route"'
+    SAMPLE = 'expected "omega" or "s"'
+    OBSTRUCT = ["obstruct-cable", "-p", "3"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["homology", "--presentation", '{"generators":2,"relation":[[2,0]]}'],
+                "presentation has an unknown key 'relation'; "
+                'expected "generators" and "relations"',
+            ),
+            (
+                ["cable", "-p", "3", "--knot", f'{{{TREFOIL},"core_rout":{TREFOIL_CORE_JSON}}}'],
+                f"knot record has an unknown key 'core_rout'; {RECORD}",
+            ),
+            (
+                OBSTRUCT + ["--K", f'{{{TREFOIL},"name":"3_1"}}', "--presetJ", "unknot"],
+                f"knot record has an unknown key 'name'; {RECORD}",
+            ),
+            (
+                OBSTRUCT + ["--presetK", "unknot", "--J", '{"Seifert":[[-1,1],[0,-1]]}'],
+                f"knot record has an unknown key 'Seifert'; {RECORD}",
+            ),
+            (
+                ["invariants", "--preset", "trefoil", "--samples", '[{"s":"1/2","x":0}]'],
+                f"sample point has an unknown key 'x'; {SAMPLE}",
+            ),
+            (
+                OBSTRUCT
+                + ["--presetK", "trefoil", "--presetJ", "unknot"]
+                + ["--samples", '[{"omega":-1},{"S":"1/2"}]'],
+                f"sample point has an unknown key 'S'; {SAMPLE}",
+            ),
+        ],
+        ids=[
+            "presentation", "cable-knot", "obstruct-K", "obstruct-J",
+            "invariants-sample", "obstruct-sample",
+        ],
+    )
+    def test_exit_1(self, capsys, argv, message):
+        code, out, err = call(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 def _surface(attach, route="[]") -> str:

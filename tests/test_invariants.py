@@ -99,6 +99,9 @@ class TestOmega:
             ({"omega": -1.0}, "only omega = -1"),
             ({"omega": True}, "only omega = -1"),
             ({}, "'omega' or 's'"),
+            # a misspelt or extra key is not ignored
+            ({"s": "1/2", "x": 0}, "unknown key 'x'"),
+            ({"S": "1/2"}, "unknown key 'S'"),
             ({"s": "1/0"}, "s must be a rational number"),
             ({"s": "abc"}, "Invalid literal"),
             # 0.5 is not s = 1/2, and true is not the string "True"
