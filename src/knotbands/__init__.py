@@ -68,8 +68,6 @@ from .obstruct import (
     ObstructionReport,
     TestResult,
     cable_concordance_check,
-    determinant_mod8_check,
-    genus_framing_check,
     slice_obstruction_report,
 )
 from .presets import PresetKnot, get_preset, preset_names
@@ -109,11 +107,9 @@ __all__ = [
     "det_int",
     "det_pencil",
     "determinant_knot",
-    "determinant_mod8_check",
     "fp_abelian_invariants",
     "framing",
     "gamma_self_linking",
-    "genus_framing_check",
     "gl_form",
     "inertia",
     "interleave_data",

@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .diagram import Crossing, CrossingList, classical_linking, over_counts
-from .record import Record
+from .record import Record, known_keys
 
 
 class MultipleBoundaryError(ValueError):
@@ -122,12 +122,19 @@ class BandSurface(Record):
         """Accepts attach entries as ["band", i, "end", "A"] or plain [i, "A"]
         and route passages as [band, slot]; longer lists are not cut short."""
         try:
-            bands = [b["half_twists"] for b in data["bands"]]
+            known_keys(data, ("bands", "attach", "route"), "band surface")
+            bands = []
+            for b in data["bands"]:
+                known_keys(b, ("half_twists",), "band")
+                bands.append(b["half_twists"])
             attach = []
             for e in data["attach"]:
                 keyed = len(e) == 4 and list(e[::2]) == ["band", "end"]
                 attach.append(_pair(e[1::2] if keyed else e, "attach entry"))
-            route = [(ev["over"], ev["under"], ev["sign"]) for ev in data["route"]]
+            route = []
+            for ev in data["route"]:
+                known_keys(ev, ("over", "under", "sign"), "route event")
+                route.append((ev["over"], ev["under"], ev["sign"]))
             return BandSurface.build(bands, attach, route)
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ValueError(f"malformed band surface JSON: {exc}") from exc

@@ -36,6 +36,7 @@ from .invariants import (
 )
 from .obstruct import cable_concordance_check, slice_obstruction_report
 from .presets import get_preset, preset_names
+from .record import known_keys
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,16 +65,6 @@ def _load_json_arg(text: str):
         raise ValueError(f"expected a JSON object or list, got {s}") from None
 
 
-def _known_keys(obj: dict, keys: tuple[str, str], what: str) -> None:
-    """A key outside keys is an input error, not ignored: a misspelt
-    "relations" would read as no relations."""
-    for key in obj:
-        if key not in keys:
-            raise ValueError(
-                f'{what} has an unknown key {key!r}; expected "{keys[0]}" and "{keys[1]}"'
-            )
-
-
 def _route(obj):
     """A core route from parsed JSON: a list of [over_slot, under_slot,
     sign] triples."""
@@ -86,20 +77,22 @@ def _route(obj):
 
 
 def _knot_record(args, flag: str, preset_flag: str):
+    """(Seifert matrix, core route) of a preset or a JSON knot record; the
+    route is None when the record has no "core_route"."""
     name = getattr(args, preset_flag, None)
     if name is not None:
         pk = get_preset(name)
         return pk.seifert, (pk.core_route or ())
     obj = _load_json_arg(getattr(args, flag))
     if isinstance(obj, dict):
-        _known_keys(obj, ("seifert", "core_route"), "knot record")
+        known_keys(obj, ("seifert", "core_route"), "knot record")
     if not isinstance(obj, dict) or "seifert" not in obj:
         raise ValueError(
             'knot record must be a JSON object with a "seifert" matrix '
             'and optional "core_route" crossing list'
         )
     route = obj.get("core_route")
-    return obj["seifert"], _route([] if route is None else route)
+    return obj["seifert"], None if route is None else _route(route)
 
 
 def _klein_core(args, knot: str):
@@ -221,10 +214,16 @@ def _cmd_band(args) -> int:
 def _cmd_cable(args) -> int:
     v, route = _knot_record(args, "knot", "preset")
     p = args.p
+    # a malformed matrix is reported before a missing route
+    delta_cable = alexander_cable2(alexander(v), p)
+    if route is None:
+        raise ValueError(
+            'cable needs the knot record\'s "core_route": the Möbius band follows '
+            "the knot's crossings, which its Seifert matrix does not give"
+        )
     F = mobius_band(route, p)
     surface = analyze_surface(F)
     G = surface.gl_form
-    delta_cable = alexander_cable2(alexander(v), p)
     payload = {
         "p": p,
         "surface": F.to_json(),
@@ -283,7 +282,7 @@ def _cmd_obstruct_cable(args) -> int:
 def _cmd_homology(args) -> int:
     obj = _load_json_arg(args.presentation)
     if isinstance(obj, dict):
-        _known_keys(obj, ("generators", "relations"), "presentation")
+        known_keys(obj, ("generators", "relations"), "presentation")
     if not isinstance(obj, dict) or "generators" not in obj:
         raise ValueError(
             'presentation must be a JSON object with "generators" and "relations"'

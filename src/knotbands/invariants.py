@@ -165,9 +165,8 @@ def _det_symmetrized(seifert) -> int:
     return det_int(_symmetrized(V))
 
 
-def determinant_knot(seifert=None, gl=None) -> int:
-    """|Delta(-1)| = |det(V + V^T)| from a Seifert matrix V, or |det| of
-    a GL form.
+def determinant_knot(seifert) -> int:
+    """|Delta(-1)| = |det(V + V^T)| from a Seifert matrix V.
 
     With P(t) = det(V - t V^T), alexander(V) succeeds exactly when
     |det(V - V^T)| = 1, so that is the only check made on V: P(1) =
@@ -177,11 +176,7 @@ def determinant_knot(seifert=None, gl=None) -> int:
     and |Delta(-1)| = |P(-1)| = |det(V + V^T)|, one integer determinant
     instead of the whole polynomial.
     """
-    if (seifert is None) == (gl is None):
-        raise ValueError("provide exactly one of seifert or gl")
-    if seifert is not None:
-        return abs(_det_symmetrized(seifert))
-    return abs(det_int(_as_matrix(gl)))
+    return abs(_det_symmetrized(seifert))
 
 
 def arf(source) -> int:

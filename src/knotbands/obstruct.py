@@ -9,16 +9,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .algebra import signature_exact
+from .algebra import det_int, signature_exact
 from .bandform import SurfaceAnalysis
 from .invariants import (
     DEFAULT_SAMPLES,
     Omega,
     alexander,
     alexander_cable2,
-    determinant_knot,
     levine_tristram,
-    signature,
 )
 from .record import Record
 
@@ -43,9 +41,11 @@ class ObstructionReport(Record):
     tests: tuple[TestResult, ...]
 
     def __post_init__(self):
-        names = [t.name for t in self.tests]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate test name in report")
+        names = set()
+        for t in self.tests:
+            if t.name in names:
+                raise ValueError(f"duplicate test name in report: {t.name}")
+            names.add(t.name)
 
     @property
     def verdict(self) -> str:
@@ -72,54 +72,6 @@ class ObstructionReport(Record):
 # checkers
 
 
-def genus_framing_check(
-    surface: SurfaceAnalysis, v_orientable=None
-) -> ObstructionReport:
-    """Framing mod 4 against genus parity; optionally the signature
-    bridge against an orientable Seifert matrix for the same boundary."""
-    sh = surface.shape
-    if sh.orientable:
-        raise ValueError(
-            "orientable input: the genus-framing relation concerns non-orientable surfaces"
-        )
-    f = surface.framing
-    expected = 2 if sh.genus % 2 else 0
-    tests = [
-        TestResult(
-            "genus-framing",
-            "pass" if f % 4 == expected else "fail",
-            f"framing {f} mod 4 = {f % 4}, genus {sh.genus} expects {expected}",
-        )
-    ]
-    if v_orientable is not None:
-        lhs = signature(v_orientable)
-        rhs = signature_exact([list(r) for r in surface.gl_form]) - f // 2
-        tests.append(
-            TestResult(
-                "signature-bridge",
-                "pass" if lhs == rhs else "fail",
-                f"signature {lhs} vs sign(GL) - framing/2 = {rhs}",
-            )
-        )
-    return ObstructionReport(tuple(tests))
-
-
-def determinant_mod8_check(gl) -> ObstructionReport:
-    """The determinant leg of the sliceness screen, on a bare GL form:
-    a zero-framed Klein bottle with slice boundary forces det = +-1 mod 8."""
-    d = determinant_knot(gl=gl)
-    r = d % 8
-    return ObstructionReport(
-        (
-            TestResult(
-                "determinant-mod-8",
-                "pass" if r in (1, 7) else "fail",
-                f"|det GL| = {d} = {r} mod 8",
-            ),
-        )
-    )
-
-
 def slice_obstruction_report(surface: SurfaceAnalysis) -> ObstructionReport:
     """Screen the boundary of a zero-framed punctured Klein bottle, given
     by its ``analyze_surface``, against the invariant constraints that
@@ -132,10 +84,15 @@ def slice_obstruction_report(surface: SurfaceAnalysis) -> ObstructionReport:
     if surface.framing != 0:
         raise ValueError(f"framing must be 0, got {surface.framing}")
     G = surface.gl_form
+    d = abs(det_int(G))
     sig_g = signature_exact([list(r) for r in G])
     return ObstructionReport(
         (
-            determinant_mod8_check(G).tests[0],
+            TestResult(
+                "determinant-mod-8",
+                "pass" if d % 8 in (1, 7) else "fail",
+                f"|det GL| = {d} = {d % 8} mod 8",
+            ),
             TestResult(
                 "ordinary-signature",
                 "pass" if sig_g == 0 else "fail",

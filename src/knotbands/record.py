@@ -4,10 +4,24 @@ A record class derives from ``Record`` and lists its fields, in
 constructor order, in ``__slots__``. It is built positionally or by
 keyword, checks itself in ``__post_init__``, refuses assignment, compares
 and hashes by its field values (never equal to a record of another
-class), and prints as ``Name(field=value, ...)``.
+class), and prints as ``Name(field=value, ...)``. ``known_keys`` checks
+a JSON object that a record is read from.
 """
 
 from __future__ import annotations
+
+
+def known_keys(obj, keys: tuple[str, ...], what: str) -> None:
+    """obj must be a JSON object with no key outside keys. An unknown key
+    is an input error, not ignored: a misspelt key would read as a missing
+    one and change the answer."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    for key in obj:
+        if key not in keys:
+            *rest, last = (f'"{k}"' for k in keys)
+            expected = f"{', '.join(rest)} and {last}" if rest else last
+            raise ValueError(f"{what} has an unknown key {key!r}; expected {expected}")
 
 
 class Record:

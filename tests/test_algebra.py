@@ -133,6 +133,12 @@ class TestDeterminants:
     def test_det_int_fixtures(self):
         assert det_int([]) == 1
         assert det_int([[-7]]) == -7
+        # GL forms: the trefoil's and the figure-eight's stored
+        # non-orientable surfaces, and diagonal forms with |det| = p^2
+        assert det_int([[3]]) == 3
+        assert det_int([[3, 1], [1, 2]]) == 5
+        for p in (1, 3, 5):
+            assert det_int([[p, 0], [0, -p]]) == -p * p
         # a zero leading entry forces a row swap, which flips the sign
         assert det_int([[0, 2, 1], [3, 0, 1], [1, 1, 0]]) == 5
         assert det_int([[0, 0], [1, 1]]) == 0

@@ -215,18 +215,32 @@ class TestObstructCable:
         assert code == 0
         assert data["verdict"] == "consistent"
 
-    def test_knot_records(self, capsys):
-        rec = json.dumps(
-            {
-                "seifert": [[-1, 1], [0, -1]],
-                "core_route": [[0, 3, 1], [4, 1, 1], [2, 5, 1]],
-            }
-        )
+    @pytest.mark.parametrize(
+        "rec",
+        [
+            {"seifert": [[-1, 1], [0, -1]], "core_route": [[0, 3, 1], [4, 1, 1], [2, 5, 1]]},
+            # the screen reads only the matrix, so the route may be left out
+            {"seifert": [[-1, 1], [0, -1]]},
+        ],
+        ids=["with-route", "without-route"],
+    )
+    def test_knot_records(self, capsys, rec):
+        rec = json.dumps(rec)
         code, data = call_json(
             capsys, "obstruct-cable", "--K", rec, "--J", rec, "-p", "5"
         )
         assert code == 0
         assert data["verdict"] == "consistent"
+
+    def test_duplicate_sample_names_its_leg(self, capsys):
+        code, out, err = call(
+            capsys,
+            "obstruct-cable", "--presetK", "trefoil", "--presetJ", "unknot", "-p", "3",
+            "--samples", '[{"omega":-1},{"omega":-1}]',
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: duplicate test name in report: sigma-match omega=-1\n"
 
 
 class TestHomology:
@@ -473,14 +487,18 @@ class TestMalformedSamples:
 
 
 class TestUnknownKeys:
-    """A presentation, a knot record and a sample point take only their
-    own keys. A misspelt key was ignored, and the answer changed: a
-    "relation" gave no relations, a "core_rout" the unknot core."""
+    """A presentation, a knot record, a sample point, a band surface and
+    each of its bands and route events take only their own keys. A
+    misspelt key was ignored, and the answer changed: a "relation" gave
+    no relations, a "core_rout" the unknot core, a "halftwists" next to
+    "half_twists" was dropped."""
 
     TREFOIL = '"seifert":[[-1,1],[0,-1]]'
     RECORD = 'expected "seifert" and "core_route"'
     SAMPLE = 'expected "omega" or "s"'
     OBSTRUCT = ["obstruct-cable", "-p", "3"]
+    MALFORMED = "malformed band surface JSON"
+    ATTACH = '"attach":[[0,"A"],[0,"B"]]'
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -512,10 +530,30 @@ class TestUnknownKeys:
                 + ["--samples", '[{"omega":-1},{"S":"1/2"}]'],
                 f"sample point has an unknown key 'S'; {SAMPLE}",
             ),
+            (
+                ["band", "--surface", f'{{"bands":[{{"half_twists":1}}],{ATTACH},"route":[],"routes":[]}}'],
+                f"{MALFORMED}: band surface has an unknown key 'routes'; "
+                'expected "bands", "attach" and "route"',
+            ),
+            (
+                ["band", "--surface", f'{{"bands":[{{"half_twists":1,"halftwists":3}}],{ATTACH},"route":[]}}'],
+                f"{MALFORMED}: band has an unknown key 'halftwists'; "
+                'expected "half_twists"',
+            ),
+            (
+                [
+                    "band", "--surface",
+                    f'{{"bands":[{{"half_twists":1}}],{ATTACH},'
+                    '"route":[{"over":[0,0],"under":[0,1],"sign":1,"sgn":-1}]}',
+                ],
+                f"{MALFORMED}: route event has an unknown key 'sgn'; "
+                'expected "over", "under" and "sign"',
+            ),
         ],
         ids=[
             "presentation", "cable-knot", "obstruct-K", "obstruct-J",
             "invariants-sample", "obstruct-sample",
+            "band-surface", "band", "route-event",
         ],
     )
     def test_exit_1(self, capsys, argv, message):
@@ -584,9 +622,12 @@ class TestMalformedRelations:
 class TestMalformedMatricesAndRoutes:
     """A matrix and each of its rows must be JSON lists of integers, and a
     core route a JSON list of triples; anything else is one error line,
-    not a traceback, and an object is not read as a row of its keys."""
+    not a traceback, and an object is not read as a row of its keys.
+    ``cable`` needs the route: without one it printed the unknot's band
+    next to the cable's Alexander polynomial."""
 
     TREFOIL = '"seifert":[[-1,1],[0,-1]]'
+    NO_ROUTE = 'cable needs the knot record\'s "core_route"'
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -602,6 +643,8 @@ class TestMalformedMatricesAndRoutes:
                 ["cable", "--knot", f'{{{TREFOIL},"core_route":[5]}}', "-p", "3"],
                 "a core route event must be an (over_slot, under_slot, sign) triple",
             ),
+            (["cable", "--knot", f"{{{TREFOIL}}}", "-p", "3"], NO_ROUTE),
+            (["cable", "--knot", f'{{{TREFOIL},"core_route":null}}', "-p", "3"], NO_ROUTE),
             (
                 ["klein", "--coreK", "[5]", "--presetJ", "unknot", "-p", "3"],
                 "a core route event must be an (over_slot, under_slot, sign) triple",
@@ -616,7 +659,7 @@ class TestMalformedMatricesAndRoutes:
         ],
         ids=[
             "int-row", "object-matrix", "int-seifert", "int-route", "int-event",
-            "klein-int-event", "int-argument", "klein-int-argument", "bool-argument",
+            "no-route", "null-route", "klein-int-event", "int-argument", "klein-int-argument", "bool-argument",
         ],
     )
     def test_exit_1(self, capsys, argv, message):

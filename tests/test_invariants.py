@@ -297,18 +297,6 @@ class TestDeterminantAndArf:
         assert determinant_knot(seifert=FIGURE_EIGHT) == 5
         assert determinant_knot(seifert=T25) == 5
 
-    def test_gl_variant(self):
-        assert determinant_knot(gl=((3,),)) == 3
-        assert determinant_knot(gl=((3, 1), (1, 2))) == 5
-        for p in (1, 3, 5):
-            assert determinant_knot(gl=((p, 0), (0, -p))) == p * p
-
-    def test_exactly_one_source(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            determinant_knot()
-        with pytest.raises(ValueError, match="exactly one"):
-            determinant_knot(seifert=TREFOIL, gl=((3,),))
-
     def test_arf_fixtures(self):
         assert arf(UNKNOT) == 0
         assert arf(TREFOIL) == 1

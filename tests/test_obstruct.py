@@ -4,15 +4,20 @@ from fractions import Fraction
 import pytest
 
 from knotbands import obstruct
-from knotbands.bandform import BandSurface, analyze_surface, klein_bottle_for_cables, shape
+from knotbands.bandform import (
+    BandSurface,
+    SurfaceAnalysis,
+    SurfaceShape,
+    analyze_surface,
+    klein_bottle_for_cables,
+    shape,
+)
 from knotbands.battery import random_core
 from knotbands.invariants import DEFAULT_SAMPLES, Omega, alexander, levine_tristram
 from knotbands.obstruct import (
     ObstructionReport,
     TestResult as CheckResult,
     cable_concordance_check,
-    determinant_mod8_check,
-    genus_framing_check,
     slice_obstruction_report,
 )
 from knotbands.presets import get_preset
@@ -32,8 +37,8 @@ class TestReports:
 
     def test_duplicate_names_rejected(self):
         t = CheckResult("same", "pass", "")
-        with pytest.raises(ValueError, match="duplicate test name"):
-            ObstructionReport((t, t))
+        with pytest.raises(ValueError, match="duplicate test name in report: same$"):
+            ObstructionReport((CheckResult("other", "pass", ""), t, t))
 
     def test_verdict(self):
         ok = ObstructionReport((CheckResult("a", "pass", ""),))
@@ -54,42 +59,6 @@ class TestReports:
         assert text.rstrip().endswith("verdict: consistent")
 
 
-class TestGenusFraming:
-    def test_trefoil_mobius(self):
-        F = get_preset("trefoil").nonorientable_surface
-        rep = genus_framing_check(analyze_surface(F))
-        assert [t.name for t in rep.tests] == ["genus-framing"]
-        assert rep.verdict == "consistent"
-
-    def test_with_signature_bridge(self):
-        F = get_preset("trefoil").nonorientable_surface
-        rep = genus_framing_check(analyze_surface(F), v_orientable=TREFOIL)
-        assert [t.name for t in rep.tests] == ["genus-framing", "signature-bridge"]
-        assert rep.verdict == "consistent"
-
-    def test_mismatched_bridge_obstructs(self):
-        F = get_preset("trefoil").nonorientable_surface
-        rep = genus_framing_check(analyze_surface(F), v_orientable=T25)
-        assert {t.name: t.status for t in rep.tests}["signature-bridge"] == "fail"
-        assert rep.verdict == "obstructed"
-
-    def test_rejects_orientable(self):
-        with pytest.raises(ValueError, match="orientable input"):
-            genus_framing_check(analyze_surface(get_preset("trefoil").orientable_surface))
-
-
-class TestDeterminantMod8:
-    def test_hyperbolic_form_passes(self):
-        rep = determinant_mod8_check(((1, 0), (0, -1)))
-        assert rep.verdict == "consistent"
-
-    def test_trefoil_form_fails(self):
-        rep = determinant_mod8_check(((3,),))
-        assert rep.tests[0].status == "fail"
-        assert "3 mod 8" in rep.tests[0].details
-        assert rep.verdict == "obstructed"
-
-
 class TestSliceReport:
     def test_baseline_klein_bottle(self):
         F = klein_bottle_for_cables((), (), 1)
@@ -99,6 +68,25 @@ class TestSliceReport:
             "ordinary-signature",
         ]
         assert rep.verdict == "consistent"
+
+    def test_both_legs_fail_on_a_nonslice_form(self):
+        # klein_bottle_for_cables always gives |det GL| = p^2 = 1 mod 8, so
+        # a failing determinant leg needs a hand-built analysis
+        bad = SurfaceAnalysis(SurfaceShape(False, 2, -1, 1), 0, ((3, 0), (0, 1)))
+        rep = slice_obstruction_report(bad)
+        assert rep.to_json()["tests"] == [
+            {
+                "name": "determinant-mod-8",
+                "status": "fail",
+                "details": "|det GL| = 3 = 3 mod 8",
+            },
+            {
+                "name": "ordinary-signature",
+                "status": "fail",
+                "details": "sign(GL) - framing/2 = 2, slice boundary needs 0",
+            },
+        ]
+        assert rep.verdict == "obstructed"
 
     def test_shape_contract(self):
         with pytest.raises(ValueError, match="not a punctured Klein bottle"):
