@@ -19,7 +19,6 @@ from .algebra import (
     smith_normal_form,
 )
 from .bandform import (
-    Band,
     BandSurface,
     MultipleBoundaryError,
     NormalFormError,
@@ -76,7 +75,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianInvariants",
-    "Band",
     "BandSurface",
     "Crossing",
     "CrossingList",

@@ -262,12 +262,12 @@ def is_symmetric(rows: Sequence[Sequence]) -> bool:
 
 
 def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric rational matrix.
+    """(positive, negative, zero) inertia of a symmetric integer matrix.
 
     Lagrange congruence diagonalization over Q. Zero diagonals are
     repaired by a symmetric row/column addition, which realizes the
     classical hyperbolic-pair step without leaving exact arithmetic.
-    Entries must be ints or Fractions; floats and bools are rejected.
+    Entries must be ints; floats, bools and Fractions are rejected.
 
     Elimination works on one triangle: pivot k's multipliers come from
     row k (a[i][k] = a[k][i]), each row i > k updates only its columns
@@ -275,23 +275,16 @@ def inertia(rows: Sequence[Sequence]) -> tuple[int, int, int]:
     block stays a full symmetric matrix for the swap and repair steps.
     Row and column k are never read again and are left as they are.
 
-    Integers stay integers until an update touches them. The rows are
-    copied as given, and swaps and repairs add ints to ints. Only the
+    Integers stay integers until an update touches them. int_matrix
+    copies the rows, and swaps and repairs add ints to ints. Only the
     pivot is made a Fraction, so every multiplier a[k][i] / d is one:
     an int divided by an int would be a float. A zero a[k][i] is
     skipped before any division.
     """
-    _check_shape(rows)
-    n = len(rows)
-    for row in rows:
-        for x in row:
-            if type(x) is not int and not isinstance(x, Fraction):
-                raise ValueError(
-                    f"matrix entries must be integers or Fractions, got {x!r}"
-                )
-    if not is_symmetric(rows):
+    a = int_matrix(rows)
+    if not is_symmetric(a):
         raise ValueError("matrix must be symmetric")
-    a = [list(row) for row in rows]
+    n = len(a)
     pos = neg = 0
     for k in range(n):
         if a[k][k] == 0:

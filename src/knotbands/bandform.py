@@ -3,16 +3,15 @@
 A surface is presented by per-band half-twist counts, the cyclic order in
 which band ends meet the disk, and an ordered list of band-over-band
 crossing events. ``compile_curves`` turns a surface plus a selection of
-curves (boundary K, longitude lambda, band cores, pushoffs, the curve
-gamma through the 2-sided cores) into signed crossings between components
-plus counted twist-box crossings, from which framings and the
-Gordon-Litherland and Seifert forms are exact linking computations.
+curves (boundary K, longitude lambda, band cores and their pushoffs) into
+signed crossings between components plus counted twist-box crossings,
+from which framings and the Gordon-Litherland and Seifert forms are exact
+linking computations.
 
 Geometric conventions baked into the compiler:
 
 - Each curve runs along a band at an integer transverse position u: the
-  boundary K at +-4, the longitude lambda at +-2, cores, pushoffs and gamma
-  at 0, gamma's parallel at 1.
+  boundary K at +-4, the longitude lambda at +-2, cores and pushoffs at 0.
 - Band ends sit at 2n sites on a convex arc, at exact integer points
   P(k) = (k, k^2); curves through the disk run as straight chords, so two
   chords cross iff their site pairs interleave, and crossing signs are
@@ -50,13 +49,6 @@ class NormalFormError(ValueError):
     """The surface is not an ordered connect sum of two-band pieces."""
 
 
-class Band(Record):
-    """A band; half_twists counts signed half twists (+1 = right handed)."""
-
-    __slots__ = ("half_twists",)
-    half_twists: int
-
-
 class RouteEvent(Record):
     """One band-over-band crossing: (band, slot) passages and a sign.
 
@@ -70,8 +62,10 @@ class RouteEvent(Record):
 
 
 class BandSurface(Record):
-    __slots__ = ("bands", "attach", "route")
-    bands: tuple[Band, ...]
+    """half_twists[i] counts band i's signed half twists (+1 = right handed)."""
+
+    __slots__ = ("half_twists", "attach", "route")
+    half_twists: tuple[int, ...]
     attach: tuple[tuple[int, str], ...]
     route: tuple[RouteEvent, ...]
 
@@ -82,18 +76,18 @@ class BandSurface(Record):
         route: Iterable = (),
     ) -> "BandSurface":
         return BandSurface(
-            tuple(Band(_int(h, "half_twists")) for h in half_twists),
+            tuple(_int(h, "half_twists") for h in half_twists),
             tuple((_int(i, "attach band index"), str(e)) for i, e in attach),
             tuple(_as_event(ev) for ev in route),
         )
 
     @property
     def n_bands(self) -> int:
-        return len(self.bands)
+        return len(self.half_twists)
 
     @property
     def orientable(self) -> bool:
-        return all(b.half_twists % 2 == 0 for b in self.bands)
+        return all(h % 2 == 0 for h in self.half_twists)
 
     def end_positions(self) -> tuple[dict[int, int], dict[int, int]]:
         """Maps band -> attach position of its A end resp. B end."""
@@ -105,7 +99,7 @@ class BandSurface(Record):
 
     def to_json(self) -> dict:
         return {
-            "bands": [{"half_twists": b.half_twists} for b in self.bands],
+            "bands": [{"half_twists": h} for h in self.half_twists],
             "attach": [["band", i, "end", e] for i, e in self.attach],
             "route": [
                 {
@@ -332,7 +326,7 @@ def boundary_walk(F: BandSurface):
         arc_of[(k, 1)] = ("arc", k, (k, 1), ((k + 1) % m, -1))
         arc_of[((k + 1) % m, -1)] = ("arc", k, (k, 1), ((k + 1) % m, -1))
     for i in range(n):
-        a, b, h = pos_a[i], pos_b[i], F.bands[i].half_twists
+        a, b, h = pos_a[i], pos_b[i], F.half_twists[i]
         flip = -1 if h % 2 else 1
         # edge 0 runs at transverse position +4 outside the twist box; an
         # odd twist box swaps which corner of end A it reaches
@@ -431,37 +425,6 @@ class CompiledCurves(Record):
         return total
 
 
-def _normal_form_even_bands(F: BandSurface) -> list[int]:
-    """Bands carrying the 2-sided cores, one per two-band piece; raises
-    NormalFormError unless the surface is an ordered boundary connect sum
-    of pieces attached (xA, yA, xB, yB) with exactly one odd band each."""
-    n = F.n_bands
-    if n == 0 or n % 2:
-        raise NormalFormError("not in normal form: band count must be a positive even number")
-    evens = []
-    for piece in range(n // 2):
-        x, y = 2 * piece, 2 * piece + 1
-        block = F.attach[4 * piece : 4 * piece + 4]
-        ok = (
-            {block[0][0], block[1][0]} == {x, y}
-            and [e for _, e in block] == ["A", "A", "B", "B"]
-            and block[2][0] == block[0][0]
-            and block[3][0] == block[1][0]
-        )
-        if not ok:
-            raise NormalFormError(
-                f"not in normal form: piece {piece} must attach bands {x},{y} as (xA, yA, xB, yB)"
-            )
-        odd_x = F.bands[x].half_twists % 2
-        odd_y = F.bands[y].half_twists % 2
-        if odd_x + odd_y != 1:
-            raise NormalFormError(
-                f"not in normal form: piece {piece} needs exactly one odd-twisted band"
-            )
-        evens.append(y if odd_x else x)
-    return evens
-
-
 def twist_box_counts(directions: Sequence[int], h: int) -> dict[tuple[int, int], int]:
     """Signed crossing counts of an h-half-twist box, keyed (over, under)
     by strand position; directions lists the strands bottom to top.
@@ -489,10 +452,9 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
 
     Request keys: "K" (the boundary), "lambda" (boundary pushed off along
     the surface), ("core", i), ("pushoff", i, +1|-1) for even-twisted
-    bands, ("tau", i) (both pushoffs of core i at once), "gamma" and
-    "gamma_plus" (normal-form surfaces only). This is the one place that
-    validates a surface and walks its boundary, so it raises for an invalid
-    or multi-boundary surface whatever the request.
+    bands and ("tau", i) (both pushoffs of core i at once). This is the one
+    place that validates a surface and walks its boundary, so it raises for
+    an invalid or multi-boundary surface whatever the request.
     """
     problems = validate_surface(F)
     if problems:
@@ -530,16 +492,6 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
             u = 4 if key == "K" else 2
             for _tag, i, e, d in edge_steps:
                 strands.append(_Strand(i, u if e == 0 else -u, 0, d, c))
-        elif key in ("gamma", "gamma_plus"):
-            try:
-                evens = _normal_form_even_bands(F)
-            except NormalFormError as exc:
-                raise NormalFormError(f"gamma unavailable: {exc}") from exc
-            u = 0 if key == "gamma" else 1
-            for idx, y in enumerate(evens):
-                nxt = evens[(idx + 1) % len(evens)]
-                strands.append(_Strand(y, u, 0, 1, c))
-                chords.append(_Chord(pos_b[y], pos_a[nxt], 0, y, c))
         elif isinstance(key, tuple) and len(key) == 2 and key[0] == "core":
             i = key[1]
             check_band(i)
@@ -550,7 +502,7 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
             check_band(i)
             if side not in (1, -1):
                 raise ValueError("pushoff side must be +1 or -1")
-            if F.bands[i].half_twists % 2:
+            if F.half_twists[i] % 2:
                 raise ValueError(
                     f"pushoff of band {i} does not close up: odd twist count; "
                     "request the double pushoff ('tau', i) instead"
@@ -562,7 +514,7 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
             check_band(i)
             # an odd twist box carries the upper pushoff into the lower, so
             # the two close up as one component
-            if F.bands[i].half_twists % 2 == 0:
+            if F.half_twists[i] % 2 == 0:
                 comps = (c, c + 1)
             for z, comp in ((1, c), (-1, comps[-1])):
                 strands.append(_Strand(i, 0, z, 1, comp))
@@ -614,7 +566,7 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
 
     boxes: dict[tuple[int, int], int] = {}
     for i, group in geo.items():
-        counts = twist_box_counts([s.direction for s in group], F.bands[i].half_twists)
+        counts = twist_box_counts([s.direction for s in group], F.half_twists[i])
         for (a, b), count in counts.items():
             key = (group[a].comp, group[b].comp)
             boxes[key] = boxes.get(key, 0) + count
@@ -648,7 +600,7 @@ def gl_form(F: BandSurface) -> tuple[tuple[int, ...], ...]:
     G = [[0] * n for _ in range(n)]
     for i in range(n):
         w = sum(ev.sign for ev in F.route if ev.over[0] == i and ev.under[0] == i)
-        G[i][i] = F.bands[i].half_twists + 2 * w
+        G[i][i] = F.half_twists[i] + 2 * w
         for j in range(i + 1, n):
             G[i][j] = G[j][i] = c.linking(("core", i), ("tau", j))
     return tuple(tuple(row) for row in G)
@@ -688,10 +640,52 @@ def analyze_surface(F: BandSurface) -> SurfaceAnalysis:
     )
 
 
+def _normal_form_even_bands(F: BandSurface) -> list[int]:
+    """Bands carrying the 2-sided cores, one per two-band piece; raises
+    NormalFormError unless the surface is an ordered boundary connect sum
+    of pieces attached (xA, yA, xB, yB) with exactly one odd band each."""
+    n = F.n_bands
+    if n == 0 or n % 2:
+        raise NormalFormError("not in normal form: band count must be a positive even number")
+    evens = []
+    for piece in range(n // 2):
+        x, y = 2 * piece, 2 * piece + 1
+        block = F.attach[4 * piece : 4 * piece + 4]
+        ok = (
+            {block[0][0], block[1][0]} == {x, y}
+            and [e for _, e in block] == ["A", "A", "B", "B"]
+            and block[2][0] == block[0][0]
+            and block[3][0] == block[1][0]
+        )
+        if not ok:
+            raise NormalFormError(
+                f"not in normal form: piece {piece} must attach bands {x},{y} as (xA, yA, xB, yB)"
+            )
+        odd_x = F.half_twists[x] % 2
+        odd_y = F.half_twists[y] % 2
+        if odd_x + odd_y != 1:
+            raise NormalFormError(
+                f"not in normal form: piece {piece} needs exactly one odd-twisted band"
+            )
+        evens.append(y if odd_x else x)
+    return evens
+
+
 def gamma_self_linking(F: BandSurface) -> int:
-    """The linking number of the curve through the 2-sided cores of a
-    normal-form surface with its in-surface parallel."""
-    return compile_curves(F, ("gamma", "gamma_plus")).linking("gamma", "gamma_plus")
+    """Self-linking of J, the curve through the 2-sided cores of a
+    normal-form surface: the linking number of J with its parallel in the
+    surface, which is half the Gordon-Litherland pairing of J's class, the
+    sum of the even bands' cores, with itself.
+
+    The sum is even: each even band a has G_aa = h_a + 2w_a with h_a even,
+    and each off-diagonal entry is counted twice.
+    """
+    G = gl_form(F)
+    try:
+        evens = _normal_form_even_bands(F)
+    except NormalFormError as exc:
+        raise NormalFormError(f"gamma unavailable: {exc}") from exc
+    return sum(G[a][b] for a in evens for b in evens) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +696,7 @@ def boundary_connect_sum(F1: BandSurface, F2: BandSurface) -> BandSurface:
     """Join along the disk; framings add, forms go block diagonal."""
     n1 = F1.n_bands
     return BandSurface(
-        F1.bands + F2.bands,
+        F1.half_twists + F2.half_twists,
         F1.attach + tuple((i + n1, e) for i, e in F2.attach),
         F1.route
         + tuple(
@@ -758,7 +752,7 @@ def mobius_band(core, p: int) -> BandSurface:
         raise ValueError("p must be odd")
     events = core_route(core)
     w = sum(ev.sign for ev in events)
-    return BandSurface((Band(p - 2 * w),), ((0, "A"), (0, "B")), events)
+    return BandSurface((p - 2 * w,), ((0, "A"), (0, "B")), events)
 
 
 def klein_bottle_for_cables(core_k, core_j, p: int) -> BandSurface:

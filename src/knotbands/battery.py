@@ -100,10 +100,15 @@ def random_core(rng: random.Random):
     return tuple(route), delta
 
 
+# every generated band has at most this many half twists either way, and a
+# normal form at most this many two-band pieces
+_MAX_TWIST = 5
+_MAX_PIECES = 3
+
+
 def random_band_surface(
     rng: random.Random,
     max_bands: int = 6,
-    max_twist: int = 5,
     max_events: int = 10,
     orientable: bool = False,
 ) -> BandSurface:
@@ -113,13 +118,13 @@ def random_band_surface(
     while True:
         if orientable:
             n = 2 * rng.randint(1, max(1, max_bands // 2))
-            twists = [2 * rng.randint(-(max_twist // 2), max_twist // 2) for _ in range(n)]
+            twists = [2 * rng.randint(-(_MAX_TWIST // 2), _MAX_TWIST // 2) for _ in range(n)]
         else:
             n = rng.randint(1, max_bands)
-            twists = [rng.randint(-max_twist, max_twist) for _ in range(n)]
+            twists = [rng.randint(-_MAX_TWIST, _MAX_TWIST) for _ in range(n)]
             k = rng.randrange(n)
             if twists[k] % 2 == 0:
-                twists[k] += 1 if twists[k] < max_twist else -1
+                twists[k] += 1 if twists[k] < _MAX_TWIST else -1
         tokens = [(i, e) for i in range(n) for e in ("A", "B")]
         rng.shuffle(tokens)
         bare = BandSurface.build(twists, tokens)
@@ -170,15 +175,13 @@ def random_band_surface(
 
 def random_normal_form(
     rng: random.Random,
-    max_pieces: int = 3,
-    max_twist: int = 5,
     force_zero_framing: bool = False,
 ) -> BandSurface:
     """Ordered boundary connect sum of two-band pieces, each with exactly
     one odd-twisted band; optionally re-twisted to framing zero."""
-    k = rng.randint(1, max_pieces)
-    odd_choices = [h for h in range(-max_twist, max_twist + 1) if h % 2]
-    even_choices = [h for h in range(-max_twist, max_twist + 1) if h % 2 == 0]
+    k = rng.randint(1, _MAX_PIECES)
+    odd_choices = [h for h in range(-_MAX_TWIST, _MAX_TWIST + 1) if h % 2]
+    even_choices = [h for h in range(-_MAX_TWIST, _MAX_TWIST + 1) if h % 2 == 0]
     twists: list[int] = []
     attach: list[tuple[int, str]] = []
     even_bands: list[int] = []
@@ -381,9 +384,9 @@ def _prop_signature_bridge(t: _Tally, rng: random.Random, trials: int) -> None:
         pk = get_preset(name)
         surface = analyze_surface(pk.nonorientable_surface)
         lhs = signature(pk.seifert)
-        rhs = signature_exact([list(r) for r in surface.gl_form]) - surface.framing // 2
+        rhs = signature_exact(surface.gl_form) - surface.framing // 2
         t.check(lhs == rhs, f"{name}: {lhs} != {rhs}")
-        sym = signature_exact([list(r) for r in gl_form(pk.orientable_surface)])
+        sym = signature_exact(gl_form(pk.orientable_surface))
         t.check(lhs == sym, f"{name} orientable GL: {lhs} != {sym}")
         f, genus = surface.framing, surface.shape.genus
         t.check(f % 4 == 2 * (genus % 2), f"{name}: framing {f}, genus {genus}")

@@ -20,7 +20,7 @@ from .algebra import (
     int_matrix,
     signature_exact,
 )
-from .record import Record
+from .record import Record, known_keys
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -75,13 +75,7 @@ class Omega(Record):
 
     @staticmethod
     def from_json(data: dict) -> "Omega":
-        if not isinstance(data, dict):
-            raise ValueError(f"sample point must be a JSON object, got {data!r}")
-        for key in data:
-            if key not in ("omega", "s"):
-                raise ValueError(
-                    f'sample point has an unknown key {key!r}; expected "omega" or "s"'
-                )
+        known_keys(data, ("omega", "s"), "sample point")
         if "omega" in data and "s" in data:
             raise ValueError(f"sample point names both omega and s: {data!r}")
         if "omega" in data:
@@ -260,8 +254,9 @@ def torus2_alexander(p: int) -> LaurentPoly:
 
 
 def alexander_cable2(delta_k: LaurentPoly, p: int) -> LaurentPoly:
-    """Alexander polynomial of the (2,p) cable of K, p odd."""
-    return _normalize_alexander(torus2_alexander(p) * delta_k.substitute(2))
+    """Alexander polynomial of the (2,p) cable of K, p odd: the satellite
+    formula with pattern T(2,p)."""
+    return alexander_satellite(torus2_alexander(p), delta_k)
 
 
 def sigma_satellite(v_r, v_j, omega: Omega) -> SignatureSample:

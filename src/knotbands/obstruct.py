@@ -85,7 +85,7 @@ def slice_obstruction_report(surface: SurfaceAnalysis) -> ObstructionReport:
         raise ValueError(f"framing must be 0, got {surface.framing}")
     G = surface.gl_form
     d = abs(det_int(G))
-    sig_g = signature_exact([list(r) for r in G])
+    sig_g = signature_exact(G)
     return ObstructionReport(
         (
             TestResult(

@@ -434,8 +434,8 @@ def levine_tristram_trig(v, cos, sin) -> int | None:
 def relabel_bands(F: BandSurface, perm) -> BandSurface:
     """F with band i renamed perm[i]; G becomes permute(G, perm)."""
     twists = [0] * F.n_bands
-    for i, band in enumerate(F.bands):
-        twists[perm[i]] = band.half_twists
+    for i, h in enumerate(F.half_twists):
+        twists[perm[i]] = h
     return BandSurface.build(
         twists,
         [(perm[i], e) for i, e in F.attach],
@@ -450,14 +450,14 @@ def rotate_attach(F: BandSurface, k: int) -> BandSurface:
     """F with its cyclic attach order started at position k: a rotation
     of the disk, so G, the framing and V are unchanged."""
     attach = F.attach[k:] + F.attach[:k]
-    return BandSurface.build([b.half_twists for b in F.bands], attach, F.route)
+    return BandSurface.build(F.half_twists, attach, F.route)
 
 
 def mirror_surface(F: BandSurface) -> BandSurface:
     """The mirror image: half twists and event signs negated, over and
     under swapped. G -> -G, framing -> -framing, V -> -V^T."""
     return BandSurface.build(
-        [-b.half_twists for b in F.bands],
+        [-h for h in F.half_twists],
         F.attach,
         [(ev.under, ev.over, -ev.sign) for ev in F.route],
     )
@@ -477,7 +477,7 @@ def append_cancelling_pair(F: BandSurface, i: int, j: int, s: int) -> BandSurfac
         return b, fresh[b] - 1
 
     pair = [(slot(i), slot(j), sign) for sign in (s, -s)]
-    return BandSurface.build([b.half_twists for b in F.bands], F.attach, [*F.route, *pair])
+    return BandSurface.build(F.half_twists, F.attach, [*F.route, *pair])
 
 
 def permute(m, perm) -> tuple[tuple[int, ...], ...]:

@@ -190,9 +190,9 @@ class TestInertia:
         ids=repr,
     )
     def test_rejects_floats_and_bools(self, rows):
-        with pytest.raises(ValueError, match="must be integers or Fractions"):
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
             inertia(rows)
-        with pytest.raises(ValueError, match="must be integers or Fractions"):
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
             signature_exact(rows)
 
     @pytest.mark.parametrize(
@@ -214,9 +214,13 @@ class TestInertia:
         with pytest.raises(ValueError, match=message):
             signature_exact(rows)
 
-    def test_accepts_fractions(self):
-        assert inertia([[Fraction(1, 2), 1], [1, Fraction(-3, 4)]]) == (1, 1, 0)
-        assert inertia(((Fraction(2), 1), (1, 2))) == (2, 0, 0)
+    @pytest.mark.parametrize(
+        "rows", [[[Fraction(1, 2), 1], [1, Fraction(-3, 4)]], ((Fraction(2), 1), (1, 2))],
+        ids=repr,
+    )
+    def test_rejects_fractions(self, rows):
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
+            inertia(rows)
 
     def test_large_integers_stay_exact(self):
         # det = -1; with int / int the multiplier is a float, the Schur

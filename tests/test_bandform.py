@@ -57,6 +57,51 @@ def klein_piece(h_odd=1, h_even=0):
     return two_bands(h_odd, h_even, True, [((1, 0), (0, 0), 1)])
 
 
+# gamma_self_linking(random_normal_form(Random(s), force_zero_framing=s % 2 == 0))
+# for s = 0..99, recorded when it still compiled the curve gamma through the
+# 2-sided cores and gamma's parallel and linked the two
+GAMMA_PINNED = (
+    0, -2, 0, 2, 0, 3, 0, 3, 0, -2, 0, 0, 0, -2, 0, 2, 0, 1, 0, 5,
+    0, 1, 0, -1, 0, 0, 0, -2, 0, 0, 0, -2, 0, 1, 0, 1, 0, 1, 0, 1,
+    0, 1, 0, -1, 0, 1, 0, 2, 0, 1, 0, 1, 0, 1, 0, -1, 0, 2, 0, 1,
+    0, 4, 0, 1, 0, 0, 0, 1, 0, -1, 0, 1, 0, 3, 0, 3, 0, -1, 0, 0,
+    0, 0, 0, -4, 0, 2, 0, -1, 0, 1, 0, -1, 0, 0, 0, 5, 0, 0, 0, -2,
+)
+
+
+# surfaces that are invalid or have more than one boundary component, with
+# the error every surface reader raises for them
+BAD_SURFACES = [
+    (
+        BandSurface.build([1], [(0, "A"), (0, "B")], [((0, 0), (0, 0), 1)]),
+        ValueError,
+        "invalid surface: route event 0 crosses a slot with itself",
+    ),
+    (
+        two_bands(1, 0, True),
+        ValueError,
+        "invalid surface: route crossings between bands 0 and 1 are "
+        "unbalanced: net 0 over-minus-under, expected -1; "
+        "no classical surface realizes this",
+    ),
+    (
+        BandSurface.build([2], [(0, "A")]),
+        ValueError,
+        "invalid surface: attach has length 1, expected 2",
+    ),
+    (
+        two_bands(1, 0, False),
+        MultipleBoundaryError,
+        "multiple boundary components: boundary walk found 2",
+    ),
+    (
+        mobius(0),
+        MultipleBoundaryError,
+        "multiple boundary components: boundary walk found 2",
+    ),
+]
+
+
 class TestBoundaryWalk:
     def test_disk(self):
         assert boundary_walk(BandSurface.build([], [])) == (((),), 1)
@@ -206,8 +251,6 @@ class TestCompile:
             compile_curves(mob, [("pushoff", 0, 1)])
         with pytest.raises(ValueError, match="pushoff side"):
             compile_curves(klein_piece(), [("pushoff", 1, 2)])
-        with pytest.raises(NormalFormError, match="gamma unavailable"):
-            compile_curves(mob, ["gamma"])
         with pytest.raises(ValueError, match="duplicate curve request"):
             compile_curves(mob, ["K", "K"])
         with pytest.raises(ValueError, match="unknown curve request"):
@@ -289,38 +332,7 @@ class TestAnalyzeSurface:
                 assert got == self.one_by_one(F)
                 assert got.framing == 0 and got.shape.genus == 2
 
-    @pytest.mark.parametrize(
-        "F, error, message",
-        [
-            (
-                BandSurface.build([1], [(0, "A"), (0, "B")], [((0, 0), (0, 0), 1)]),
-                ValueError,
-                "invalid surface: route event 0 crosses a slot with itself",
-            ),
-            (
-                two_bands(1, 0, True),
-                ValueError,
-                "invalid surface: route crossings between bands 0 and 1 are "
-                "unbalanced: net 0 over-minus-under, expected -1; "
-                "no classical surface realizes this",
-            ),
-            (
-                BandSurface.build([2], [(0, "A")]),
-                ValueError,
-                "invalid surface: attach has length 1, expected 2",
-            ),
-            (
-                two_bands(1, 0, False),
-                MultipleBoundaryError,
-                "multiple boundary components: boundary walk found 2",
-            ),
-            (
-                mobius(0),
-                MultipleBoundaryError,
-                "multiple boundary components: boundary walk found 2",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("F, error, message", BAD_SURFACES)
     def test_bad_surfaces_raise_as_before(self, F, error, message):
         for fn in (shape, framing, gl_form, seifert_matrix, analyze_surface):
             with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
@@ -352,6 +364,23 @@ class TestGamma:
                     [((0, 0), (1, 0), 1)],
                 )
             )
+
+    @pytest.mark.parametrize("F, error, message", BAD_SURFACES)
+    def test_bad_surfaces_raise_before_the_normal_form_check(self, F, error, message):
+        # the surface is read before its normal form is checked, so these
+        # raise as every other reader does, not with NormalFormError
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+            gamma_self_linking(F)
+        assert type(info.value) is error
+
+    def test_pinned_values(self):
+        got = tuple(
+            gamma_self_linking(
+                random_normal_form(random.Random(s), force_zero_framing=s % 2 == 0)
+            )
+            for s in range(100)
+        )
+        assert got == GAMMA_PINNED
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6), st.booleans())
@@ -468,6 +497,11 @@ class TestJson:
             mobius_band(TREFOIL_CORE, 1),
         ):
             assert BandSurface.from_json(F.to_json()) == F
+
+    def test_bands_hold_the_half_twists(self):
+        F = klein_piece(h_odd=3, h_even=-2)
+        assert F.half_twists == (3, -2)
+        assert F.to_json()["bands"] == [{"half_twists": 3}, {"half_twists": -2}]
 
     def test_compact_attach_form(self):
         data = {

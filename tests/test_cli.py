@@ -495,7 +495,7 @@ class TestUnknownKeys:
 
     TREFOIL = '"seifert":[[-1,1],[0,-1]]'
     RECORD = 'expected "seifert" and "core_route"'
-    SAMPLE = 'expected "omega" or "s"'
+    SAMPLE = 'expected "omega" and "s"'
     OBSTRUCT = ["obstruct-cable", "-p", "3"]
     MALFORMED = "malformed band surface JSON"
     ATTACH = '"attach":[[0,"A"],[0,"B"]]'
@@ -671,11 +671,21 @@ class TestMalformedMatricesAndRoutes:
 
 
 class TestProcessSmoke:
+    @staticmethod
+    def env():
+        """The environment with src first on PYTHONPATH, so the child
+        imports this tree's knotbands whether or not it is installed."""
+        path = str(SRC)
+        if os.environ.get("PYTHONPATH"):
+            path += os.pathsep + os.environ["PYTHONPATH"]
+        return {**os.environ, "PYTHONPATH": path}
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "knotbands.cli", "invariants", "--preset", "unknot"],
             capture_output=True,
             text=True,
+            env=self.env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["alexander"] == "1"
@@ -695,6 +705,7 @@ class TestProcessSmoke:
              '{"generators":2,"relations":[[-2,1],[0,1]]}'],
             capture_output=True,
             text=True,
+            env=self.env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["group"] == "Z/2"
@@ -710,6 +721,7 @@ class TestProcessSmoke:
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 text=True,
+                env=self.env(),
             )
         finally:
             os.close(write_end)

@@ -5,7 +5,9 @@ linking number reads: the multiset of (sign, over component, under
 component) crossings, the request-key-to-components map and the
 twist-box table. The digests in ``data/compiled_crossings.json`` were
 recorded while the compiler still built a full Gauss code, so they pin
-that dropping the passage order kept every crossing. Re-record with
+that dropping the passage order kept every crossing; the twelve
+``random_normal_form`` ``requests=all`` cases were re-recorded with the
+same compiler when the gamma request kinds left it. Re-record with
 ``PYTHONPATH=src python tests/test_compiled_crossings.py`` only in a
 change meant to alter what the compiler emits.
 """
@@ -30,12 +32,12 @@ def _triple(x):
     return (x.sign, x.over, x.under)
 
 
-def _request_lists(F, normal_form):
+def _request_lists(F):
     """The library's own request lists, plus every kind at once."""
     n = F.n_bands
     cores = [("core", i) for i in range(n)]
     taus = [("tau", i) for i in range(n)]
-    even = [i for i in range(n) if F.bands[i].half_twists % 2 == 0]
+    even = [i for i in range(n) if F.half_twists[i] % 2 == 0]
     pushoffs = [("pushoff", i, s) for i in even for s in (1, -1)]
     lists = {
         "boundary": ["K", "lambda"],
@@ -44,9 +46,6 @@ def _request_lists(F, normal_form):
     }
     if F.orientable:
         lists["seifert"] = [("pushoff", i, 1) for i in range(n)] + cores
-    if normal_form:
-        lists["gamma"] = ["gamma", "gamma_plus"]
-        lists["all"] += ["gamma", "gamma_plus"]
     return lists
 
 
@@ -55,20 +54,20 @@ def _surfaces():
         size = {} if seed < 20 else {"max_bands": 12, "max_events": 40}
         for orientable in (False, True):
             F = random_band_surface(random.Random(seed), orientable=orientable, **size)
-            yield f"random_band_surface seed={seed} orientable={orientable}", F, False
+            yield f"random_band_surface seed={seed} orientable={orientable}", F
     for seed in range(12):
         F = random_normal_form(random.Random(seed), force_zero_framing=seed % 2 == 0)
-        yield f"random_normal_form seed={seed}", F, True
+        yield f"random_normal_form seed={seed}", F
     for k, j in CABLE_CORES:
         core_k = get_preset(k).core_route
         core_j = get_preset(j).core_route
         for p in CABLE_PS:
             F = klein_bottle_for_cables(core_k, core_j, p)
-            yield f"klein_bottle_for_cables {k} {j} p={p}", F, False
+            yield f"klein_bottle_for_cables {k} {j} p={p}", F
     for name in preset_names():
         pk = get_preset(name)
-        yield f"preset {name} orientable", pk.orientable_surface, False
-        yield f"preset {name} nonorientable", pk.nonorientable_surface, False
+        yield f"preset {name} orientable", pk.orientable_surface
+        yield f"preset {name} nonorientable", pk.nonorientable_surface
 
 
 def digest(cc) -> str:
@@ -84,8 +83,8 @@ def digest(cc) -> str:
 
 def compute_digests() -> dict[str, str]:
     out = {}
-    for label, F, normal_form in _surfaces():
-        for kind, keys in _request_lists(F, normal_form).items():
+    for label, F in _surfaces():
+        for kind, keys in _request_lists(F).items():
             out[f"{label} requests={kind}"] = digest(compile_curves(F, keys))
     return out
 
@@ -99,16 +98,14 @@ def test_compiled_crossings_match_pinned_digests():
 
 def test_cases_cover_every_request_kind():
     kinds = set()
-    for _label, F, normal_form in _surfaces():
-        for keys in _request_lists(F, normal_form).values():
+    for _label, F in _surfaces():
+        for keys in _request_lists(F).values():
             for key in keys:
                 if key[0] == "tau":
-                    kinds.add(("tau", F.bands[key[1]].half_twists % 2))
+                    kinds.add(("tau", F.half_twists[key[1]] % 2))
                 else:
                     kinds.add(key if isinstance(key, str) else key[0])
-    assert kinds == {
-        "K", "lambda", "core", "pushoff", "gamma", "gamma_plus", ("tau", 0), ("tau", 1)
-    }
+    assert kinds == {"K", "lambda", "core", "pushoff", ("tau", 0), ("tau", 1)}
 
 
 if __name__ == "__main__":

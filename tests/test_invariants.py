@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,11 @@ class TestOmega:
         assert Omega.from_json({"omega": -1}) == Omega.minus_one()
         assert Omega.from_json({"s": "1/2"}) == Omega.from_s(Fraction(1, 2))
         assert Omega.from_json({"s": -2}) == Omega(Fraction(-2))
+
+    def test_unknown_key_names_the_expected_keys(self):
+        message = 'sample point has an unknown key \'x\'; expected "omega" and "s"'
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Omega.from_json({"s": "1/2", "x": 0})
 
     def test_json_errors(self):
         for data, message in [
@@ -258,6 +264,11 @@ class TestTorusAndCables:
         assert str(alexander_cable2(d, 1)) == "t^-2 - 1 + t^2"
         assert str(alexander_cable2(d, -1)) == "t^-2 - 1 + t^2"
         assert str(alexander_cable2(d, 3)) == "t^-3 - t^-2 + 1 - t^2 + t^3"
+
+    def test_cable_checks_p_first(self):
+        # p is read before the companion's polynomial is touched
+        with pytest.raises(ValueError, match="p must be odd"):
+            alexander_cable2(None, 4)
 
     def test_satellite_fixtures(self):
         d_tref = alexander(TREFOIL)

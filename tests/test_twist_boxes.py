@@ -31,7 +31,7 @@ MAX_BANDS = 6
 
 def _retwist(F: BandSurface, ks) -> BandSurface:
     """F with 2k extra half twists on each band (parity is unchanged)."""
-    twists = [b.half_twists + 2 * k for b, k in zip(F.bands, ks)]
+    twists = [h + 2 * k for h, k in zip(F.half_twists, ks)]
     return BandSurface.build(twists, F.attach, F.route)
 
 
