@@ -2,31 +2,31 @@
 
 A surface is presented by per-band half-twist counts, the cyclic order in
 which band ends meet the disk, and an ordered list of band-over-band
-crossing events. ``compile_curves`` turns a surface plus a selection of
-curves (boundary K, longitude lambda, band cores and their pushoffs) into
-signed crossings between components plus counted twist-box crossings,
-from which framings and the Gordon-Litherland and Seifert forms are exact
-linking computations.
+crossing events. The framing of the boundary and the self-linking of J
+are read off that data as half the Gordon-Litherland pairing of one
+class with itself. ``compile_curves`` turns a surface plus a selection of
+curves (band cores, their pushoffs and their double pushoffs) into signed
+crossings between components plus counted twist-box crossings, from
+which the Gordon-Litherland and Seifert forms are exact linking
+computations.
 
 Geometric conventions baked into the compiler:
 
-- Each curve runs along a band at an integer transverse position u: the
-  boundary K at +-4, the longitude lambda at +-2, cores and pushoffs at 0.
+- Each curve runs along the middle of its band from end A to end B, at a
+  height z (0 for a core, +-1 for a pushoff), and back across the disk.
 - Band ends sit at 2n sites on a convex arc, at exact integer points
   P(k) = (k, k^2); curves through the disk run as straight chords, so two
   chords cross iff their site pairs interleave, and crossing signs are
   integer 2x2 determinants.
 - All half twists of a band live in a single twist box next to end A.
   Inside the box the carried strands braid: each half twist crosses every
-  pair of strands once (positive twist: the strand entering at the lower
-  transverse position goes over). The box crossings are counted in closed
-  form (``twist_box_counts``), not listed, so the cost of a box does not
-  grow with |h|.
+  pair of strands once (positive twist: the lower strand goes over). The
+  box crossings are counted in closed form (``twist_box_counts``), not
+  listed, so the cost of a box does not grow with |h|.
 - At a band-over-band event, every strand of the over band crosses every
-  strand of the under band once; the event sign times the two strand
-  directions gives each crossing sign.
-- Where two curves cross on the disk itself, the one pushed further to
-  the positive side goes over; at equal height the lower band index wins.
+  strand of the under band once, with the event's sign.
+- Where two curves cross on the disk itself, the higher one goes over; at
+  equal height the lower band index wins.
 """
 
 from __future__ import annotations
@@ -268,7 +268,9 @@ def validate_surface(F: BandSurface) -> list[str]:
     if problems:
         return problems
 
-    used: dict[tuple[int, int, str], int] = {}
+    # a slot is one passage of its band, so it belongs to one event, in
+    # one role; (event, role) of each slot's first use
+    used: dict[tuple[int, int], tuple[int, str]] = {}
     for k, ev in enumerate(F.route):
         if ev.sign not in (1, -1):
             problems.append(f"route event {k} has sign {ev.sign}")
@@ -276,13 +278,13 @@ def validate_surface(F: BandSurface) -> list[str]:
             if not (0 <= b < n):
                 problems.append(f"route event {k} {role} band {b} out of range")
                 continue
-            key = (b, s, role)
-            if key in used:
+            first, first_role = used.setdefault((b, s), (k, role))
+            if first != k:
                 problems.append(
-                    f"band {b} slot {s} used twice as {role} (events {used[key]} and {k})"
+                    f"band {b} slot {s} used twice: as {first_role} in event "
+                    f"{first} and as {role} in event {k}"
                 )
-            used[key] = k
-        if ev.over[0] == ev.under[0] and ev.over[1] == ev.under[1]:
+        if ev.over == ev.under:
             problems.append(f"route event {k} crosses a slot with itself")
     if problems:
         return problems
@@ -328,8 +330,8 @@ def boundary_walk(F: BandSurface):
     for i in range(n):
         a, b, h = pos_a[i], pos_b[i], F.half_twists[i]
         flip = -1 if h % 2 else 1
-        # edge 0 runs at transverse position +4 outside the twist box; an
-        # odd twist box swaps which corner of end A it reaches
+        # edge 0 leaves end B at its -1 corner; an odd twist box swaps
+        # which corner of end A it reaches
         e0 = ("band", i, 0, (a, flip), (b, -1))
         e1 = ("band", i, 1, (a, -flip), (b, 1))
         for e in (e0, e1):
@@ -362,35 +364,35 @@ def boundary_walk(F: BandSurface):
     return tuple(walks), len(walks)
 
 
+def _walk(F: BandSurface) -> tuple:
+    """The one boundary walk of F; raises for an invalid surface or one
+    with more than one boundary component. Every surface reader starts
+    here."""
+    problems = validate_surface(F)
+    if problems:
+        raise ValueError("invalid surface: " + "; ".join(problems))
+    walks, count = boundary_walk(F)
+    if count != 1:
+        raise MultipleBoundaryError(
+            f"multiple boundary components: boundary walk found {count}"
+        )
+    return walks[0]
+
+
 # ---------------------------------------------------------------------------
 # the curve compiler
 
 
 class _Strand:
-    """One parallel of component comp running the length of a band, at a
-    fixed transverse position u and height z; direction +1 means A toward B."""
+    """One parallel of component comp running the middle of a band from
+    end A to end B at height z, and back across the disk as the chord from
+    the band's B site to its A site."""
 
-    __slots__ = ("band", "u", "z", "direction", "comp")
+    __slots__ = ("band", "z", "comp")
 
-    def __init__(self, band: int, u: int, z: int, direction: int, comp: int):
+    def __init__(self, band: int, z: int, comp: int):
         self.band = band
-        self.u = u
         self.z = z
-        self.direction = direction
-        self.comp = comp
-
-
-class _Chord:
-    """A straight segment of component comp across the disk, from one
-    attach site to another, at height z."""
-
-    __slots__ = ("start", "end", "z", "tie", "comp")
-
-    def __init__(self, start: int, end: int, z: int, tie: int, comp: int):
-        self.start = start
-        self.end = end
-        self.z = z
-        self.tie = tie
         self.comp = comp
 
 
@@ -402,14 +404,13 @@ class CompiledCurves(Record):
     pushoff of an even-twisted band closes up into two components);
     twist_boxes maps (over component, under component) to the signed
     count of twist-box crossings between them, which the diagram leaves
-    out; shape is the topological type found while validating the surface.
+    out.
     """
 
-    __slots__ = ("diagram", "components", "twist_boxes", "shape")
+    __slots__ = ("diagram", "components", "twist_boxes")
     diagram: CrossingList
     components: dict
     twist_boxes: dict
-    shape: SurfaceShape
 
     def linking(self, key_a, key_b) -> int:
         total = 0
@@ -425,24 +426,23 @@ class CompiledCurves(Record):
         return total
 
 
-def twist_box_counts(directions: Sequence[int], h: int) -> dict[tuple[int, int], int]:
-    """Signed crossing counts of an h-half-twist box, keyed (over, under)
-    by strand position; directions lists the strands bottom to top.
+def twist_box_counts(m: int, h: int) -> dict[tuple[int, int], int]:
+    """Signed crossing counts of an h-half-twist box on m strands, keyed
+    (over, under) by strand position from the bottom.
 
-    Strands x below y cross |h| times, each with sign sign(h)*dx*dy; x is
-    over at ceil(|h|/2) of them for h > 0 and at floor(|h|/2) for h < 0.
+    Strands x below y cross |h| times, each with sign sign(h); x is over
+    at ceil(|h|/2) of them for h > 0 and at floor(|h|/2) for h < 0.
     """
     counts: dict[tuple[int, int], int] = {}
     if h == 0:
         return counts
     s_box = 1 if h > 0 else -1
-    lower_over = (abs(h) + (h > 0)) // 2
-    upper_over = abs(h) - lower_over
-    for x, dx in enumerate(directions):
-        for y in range(x + 1, len(directions)):
-            sign = s_box * dx * directions[y]
-            counts[x, y] = sign * lower_over
-            counts[y, x] = sign * upper_over
+    lower_over = s_box * ((abs(h) + (h > 0)) // 2)
+    upper_over = s_box * abs(h) - lower_over
+    for x in range(m):
+        for y in range(x + 1, m):
+            counts[x, y] = lower_over
+            counts[y, x] = upper_over
     return counts
 
 
@@ -450,32 +450,17 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
     """Compile the requested curves on F into signed crossings between
     components and the twist-box crossing counts.
 
-    Request keys: "K" (the boundary), "lambda" (boundary pushed off along
-    the surface), ("core", i), ("pushoff", i, +1|-1) for even-twisted
-    bands and ("tau", i) (both pushoffs of core i at once). This is the one
-    place that validates a surface and walks its boundary, so it raises for
-    an invalid or multi-boundary surface whatever the request.
+    Request keys: ("core", i), ("pushoff", i, +1|-1) for even-twisted
+    bands and ("tau", i) (both pushoffs of core i at once). Raises for an
+    invalid or multi-boundary surface whatever the request.
     """
-    problems = validate_surface(F)
-    if problems:
-        raise ValueError("invalid surface: " + "; ".join(problems))
-    walks, count = boundary_walk(F)
-    if count != 1:
-        raise MultipleBoundaryError(
-            f"multiple boundary components: boundary walk found {count}"
-        )
-    pos_a, pos_b = F.end_positions()
+    _walk(F)
     n = F.n_bands
-    m_sites = 2 * n
-    genus = n // 2 if F.orientable else n
-    surface_shape = SurfaceShape(F.orientable, genus, 1 - n, 1)
-
     keys = list(curves)
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate curve request")
 
     strands: list[_Strand] = []
-    chords: list[_Chord] = []
     comp_map: dict = {}
     n_comp = 0
 
@@ -483,20 +468,13 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
         if type(i) is not int or not 0 <= i < n:
             raise ValueError(f"no band {i}")
 
-    edge_steps = [st for st in walks[0] if st[0] == "band"]
-
     for key in keys:
         c = n_comp
         comps = (c,)
-        if key in ("K", "lambda"):
-            u = 4 if key == "K" else 2
-            for _tag, i, e, d in edge_steps:
-                strands.append(_Strand(i, u if e == 0 else -u, 0, d, c))
-        elif isinstance(key, tuple) and len(key) == 2 and key[0] == "core":
+        if isinstance(key, tuple) and len(key) == 2 and key[0] == "core":
             i = key[1]
             check_band(i)
-            strands.append(_Strand(i, 0, 0, 1, c))
-            chords.append(_Chord(pos_b[i], pos_a[i], 0, i, c))
+            strands.append(_Strand(i, 0, c))
         elif isinstance(key, tuple) and len(key) == 3 and key[0] == "pushoff":
             i, side = key[1], key[2]
             check_band(i)
@@ -507,8 +485,7 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
                     f"pushoff of band {i} does not close up: odd twist count; "
                     "request the double pushoff ('tau', i) instead"
                 )
-            strands.append(_Strand(i, 0, side, 1, c))
-            chords.append(_Chord(pos_b[i], pos_a[i], side, i, c))
+            strands.append(_Strand(i, side, c))
         elif isinstance(key, tuple) and len(key) == 2 and key[0] == "tau":
             i = key[1]
             check_band(i)
@@ -516,21 +493,20 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
             # the two close up as one component
             if F.half_twists[i] % 2 == 0:
                 comps = (c, c + 1)
-            for z, comp in ((1, c), (-1, comps[-1])):
-                strands.append(_Strand(i, 0, z, 1, comp))
-                chords.append(_Chord(pos_b[i], pos_a[i], z, i, comp))
+            strands.append(_Strand(i, 1, c))
+            strands.append(_Strand(i, -1, comps[-1]))
         else:
             raise ValueError(f"unknown curve request {key!r}")
         comp_map[key] = comps
         n_comp += len(comps)
 
-    # geometric bottom-to-top order of the strands on each band; the sort
-    # is stable, so strands at the same place keep their request order
+    # bottom-to-top order of the strands on each band; the sort is stable,
+    # so strands at the same height keep their request order
     geo: dict[int, list[_Strand]] = {}
     for s in strands:
         geo.setdefault(s.band, []).append(s)
     for group in geo.values():
-        group.sort(key=lambda s: (s.u, s.z))
+        group.sort(key=lambda s: s.z)
 
     # route events: every strand of the over band crosses every strand of
     # the under band; a self event crosses the band's strands with themselves
@@ -538,41 +514,32 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
     for ev in F.route:
         under_strands = geo.get(ev.under[0], ())
         for x in geo.get(ev.over[0], ()):
-            sx = ev.sign * x.direction
-            crossings.extend(
-                Crossing(sx * y.direction, x.comp, y.comp) for y in under_strands
-            )
+            crossings.extend(Crossing(ev.sign, x.comp, y.comp) for y in under_strands)
 
-    # disk chords: straight segments between convex sites cross iff their
-    # site pairs interleave; higher chord over, ties to the lower band index
-    for a in range(len(chords)):
-        for b in range(a + 1, len(chords)):
-            c1, c2 = chords[a], chords[b]
-            if {c1.start, c1.end} & {c2.start, c2.end}:
+    # disk chords: two bands' chords cross once iff their ends interleave;
+    # higher chord over, ties to the lower band index
+    chords = interleave_data(F)
+    for a in range(len(strands)):
+        for b in range(a + 1, len(strands)):
+            s1, s2 = strands[a], strands[b]
+            if s1.band == s2.band:
                 continue
-            hits = _strictly_between(c1.start, c2.start, c1.end, m_sites) + _strictly_between(
-                c1.start, c2.end, c1.end, m_sites
-            )
-            if hits != 1:
+            ilv, dsign = chords[min(s1.band, s2.band), max(s1.band, s2.band)]
+            if not ilv:
                 continue
-            if (c1.z, -c1.tie) > (c2.z, -c2.tie):
-                over, under = c1, c2
+            if (s1.z, -s1.band) > (s2.z, -s2.band):
+                over, under = s1, s2
             else:
-                over, under = c2, c1
-            d_over = _sub(_point(over.end), _point(over.start))
-            d_under = _sub(_point(under.end), _point(under.start))
-            det = _det2(d_over, d_under)
-            crossings.append(Crossing(1 if det > 0 else -1, over.comp, under.comp))
+                over, under = s2, s1
+            sign = dsign if over.band < under.band else -dsign
+            crossings.append(Crossing(sign, over.comp, under.comp))
 
     boxes: dict[tuple[int, int], int] = {}
     for i, group in geo.items():
-        counts = twist_box_counts([s.direction for s in group], F.half_twists[i])
-        for (a, b), count in counts.items():
+        for (a, b), count in twist_box_counts(len(group), F.half_twists[i]).items():
             key = (group[a].comp, group[b].comp)
             boxes[key] = boxes.get(key, 0) + count
-    return CompiledCurves(
-        CrossingList(n_comp, tuple(crossings)), comp_map, boxes, surface_shape
-    )
+    return CompiledCurves(CrossingList(n_comp, tuple(crossings)), comp_map, boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -581,22 +548,54 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
 
 def shape(F: BandSurface) -> SurfaceShape:
     """Topological type of the surface; needs a single boundary component."""
-    return compile_curves(F, ()).shape
+    _walk(F)
+    n = F.n_bands
+    return SurfaceShape(F.orientable, n // 2 if F.orientable else n, 1 - n, 1)
+
+
+def _half_pairing(F: BandSurface, x: Sequence[int]) -> int:
+    """Half the Gordon-Litherland pairing of the class sum x_i*core_i with
+    itself, read off the surface data.
+
+    G_ii = h_i + 2w_i, with w_i the sum of the signs of band i's self
+    events. For i != j, G_ij = lk(core i, tau j) is the signed count of
+    the events between bands i and j, in either role: at each one, core i
+    crosses both strands of tau j with the event's sign, and its two disk
+    crossings with tau j, one over and one under, have opposite signs. So
+    ½·G(x, x) is ½·sum x_i^2*h_i plus the sum over all events of
+    sign*x_over*x_under; the callers' classes make sum x_i^2*h_i even.
+    """
+    twists = sum(xi * xi * h for xi, h in zip(x, F.half_twists))
+    events = sum(ev.sign * x[ev.over[0]] * x[ev.under[0]] for ev in F.route)
+    return twists // 2 + events
 
 
 def framing(F: BandSurface) -> int:
-    """lk of the boundary knot with its pushoff along the surface; even."""
-    c = compile_curves(F, ("K", "lambda"))
-    return c.linking("K", "lambda")
+    """lk of the boundary knot K with its pushoff along the surface; even.
+
+    K runs once along each edge of every band, so its class in H_1(F) is
+    sum c_i*core_i, where c_i is the sum of the boundary walk's directions
+    on band i's two edges (0 or +-2), and the framing is ½·G(c, c)
+    (Gordon-Litherland). Each c_i^2 is 0 or 4, so sum c_i^2*h_i is even.
+    On an orientable surface every c_i is 0.
+    """
+    c = [0] * F.n_bands
+    for step in _walk(F):
+        if step[0] == "band":
+            c[step[1]] += step[3]
+    return _half_pairing(F, c)
 
 
 def gl_form(F: BandSurface) -> tuple[tuple[int, ...], ...]:
     """Gordon-Litherland pairing of the band cores: twists plus writhe on
     the diagonal, core-to-double-pushoff linking off it."""
     n = F.n_bands
-    curves = [("core", i) for i in range(n)] + [("tau", i) for i in range(n)]
-    # one band has no off-diagonal pairs, so nothing but the surface to check
-    c = compile_curves(F, curves if n > 1 else ())
+    if n > 1:
+        curves = [("core", i) for i in range(n)] + [("tau", i) for i in range(n)]
+        c = compile_curves(F, curves)
+    else:
+        # one band has no off-diagonal pairs, so nothing to compile
+        _walk(F)
     G = [[0] * n for _ in range(n)]
     for i in range(n):
         w = sum(ev.sign for ev in F.route if ev.over[0] == i and ev.under[0] == i)
@@ -608,13 +607,13 @@ def gl_form(F: BandSurface) -> tuple[tuple[int, ...], ...]:
 
 def seifert_matrix(F: BandSurface) -> tuple[tuple[int, ...], ...]:
     """V_ij = lk(core i pushed to the positive side, core j)."""
+    if not F.orientable:
+        # an invalid surface is reported before its orientability
+        _walk(F)
+        raise NotOrientableError("surface not orientable")
     n = F.n_bands
     curves = [("pushoff", i, 1) for i in range(n)] + [("core", j) for j in range(n)]
-    # an odd band has no closed pushoff; compile nothing but the surface
-    # check then, so an invalid surface is reported before its orientability
-    c = compile_curves(F, curves if F.orientable else ())
-    if not F.orientable:
-        raise NotOrientableError("surface not orientable")
+    c = compile_curves(F, curves)
     return tuple(
         tuple(c.linking(("pushoff", i, 1), ("core", j)) for j in range(n))
         for i in range(n)
@@ -632,12 +631,8 @@ class SurfaceAnalysis(Record):
 
 
 def analyze_surface(F: BandSurface) -> SurfaceAnalysis:
-    """Shape, framing and GL form from the two compiles that ``framing``
-    and ``gl_form`` make, so the surface is validated and walked twice."""
-    boundary = compile_curves(F, ("K", "lambda"))
-    return SurfaceAnalysis(
-        boundary.shape, boundary.linking("K", "lambda"), gl_form(F)
-    )
+    """Shape, framing and GL form; only ``gl_form`` compiles."""
+    return SurfaceAnalysis(shape(F), framing(F), gl_form(F))
 
 
 def _normal_form_even_bands(F: BandSurface) -> list[int]:
@@ -677,15 +672,17 @@ def gamma_self_linking(F: BandSurface) -> int:
     surface, which is half the Gordon-Litherland pairing of J's class, the
     sum of the even bands' cores, with itself.
 
-    The sum is even: each even band a has G_aa = h_a + 2w_a with h_a even,
-    and each off-diagonal entry is counted twice.
+    Each even band a has h_a even, so sum x_a^2*h_a is even.
     """
-    G = gl_form(F)
+    _walk(F)
     try:
         evens = _normal_form_even_bands(F)
     except NormalFormError as exc:
         raise NormalFormError(f"gamma unavailable: {exc}") from exc
-    return sum(G[a][b] for a in evens for b in evens) // 2
+    x = [0] * F.n_bands
+    for a in evens:
+        x[a] = 1
+    return _half_pairing(F, x)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ Results are handed back as a ``LaurentPoly`` only to be compared with
 the library's.
 ``validate_diagram`` checks that the signed crossings between components
 the curve compiler emits have signs +-1 and name components that exist.
-``relabel_bands``, ``rotate_attach``, ``mirror_surface`` and
-``append_cancelling_pair`` are surface moves with a known effect on the
-Gordon-Litherland form, the framing and the Seifert matrix, for
-metamorphic tests of the curve compiler.
+``relabel_bands``, ``rotate_attach``, ``mirror_surface``,
+``append_cancelling_pair`` and ``reverse_band`` are surface moves with a
+known effect on the Gordon-Litherland form, the framing and the Seifert
+matrix, for metamorphic tests of the curve compiler.
 """
 
 from __future__ import annotations
@@ -478,6 +478,26 @@ def append_cancelling_pair(F: BandSurface, i: int, j: int, s: int) -> BandSurfac
 
     pair = [(slot(i), slot(j), sign) for sign in (s, -s)]
     return BandSurface.build(F.half_twists, F.attach, [*F.route, *pair])
+
+
+def reverse_band(F: BandSurface, i: int) -> BandSurface:
+    """F with band i run the other way: its A and B ends swap, its slots
+    come in the reverse order, and each event between it and another band
+    changes sign, since one of the two strands now runs backwards. Core i
+    becomes -core i, so G becomes DGD with D = diag(+-1), -1 at i, and the
+    framing is unchanged."""
+    slots = [k for ev in F.route for b, k in (ev.over, ev.under) if b == i]
+    ends = min(slots, default=0) + max(slots, default=0)
+
+    def passage(p):
+        return (i, ends - p[1]) if p[0] == i else p
+
+    route = []
+    for ev in F.route:
+        crossed = (ev.over[0] == i) != (ev.under[0] == i)
+        route.append((passage(ev.over), passage(ev.under), -ev.sign if crossed else ev.sign))
+    attach = [(b, {"A": "B", "B": "A"}[e] if b == i else e) for b, e in F.attach]
+    return BandSurface.build(F.half_twists, attach, route)
 
 
 def permute(m, perm) -> tuple[tuple[int, ...], ...]:

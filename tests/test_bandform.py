@@ -1,5 +1,7 @@
+import functools
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from knotbands.bandform import (
 from knotbands.battery import random_band_surface, random_core, random_normal_form
 from knotbands.presets import get_preset
 from oracles import validate_diagram
+from test_bench_contract import BENCH, _load
 
 TREFOIL_CORE = core_route([(0, 3, 1), (4, 1, 1), (2, 5, 1)])
 
@@ -186,7 +189,25 @@ class TestValidate:
             [(0, "A"), (0, "B"), (1, "A"), (1, "B")],
             [((0, 0), (1, 0), 1), ((0, 0), (1, 1), -1)],
         )
-        assert any("used twice as over" in p for p in validate_surface(F))
+        assert validate_surface(F) == [
+            "band 0 slot 0 used twice: as over in event 0 and as over in event 1"
+        ]
+
+    def test_a_slot_is_one_passage(self):
+        # slot 0 is over in one crossing and under in the other, as is slot 1
+        F = mobius_band([(0, 1, 1), (1, 0, 1)], 3)
+        problems = [
+            "band 0 slot 1 used twice: as under in event 0 and as over in event 1",
+            "band 0 slot 0 used twice: as over in event 0 and as under in event 1",
+        ]
+        assert validate_surface(F) == problems
+        message = re.escape("invalid surface: " + "; ".join(problems))
+        for fn in (shape, framing, gl_form):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                fn(F)
+        # one event over and under the same slot keeps its own message
+        F = mobius_band([(0, 0, 1)], 3)
+        assert validate_surface(F) == ["route event 0 crosses a slot with itself"]
 
     def test_disk_forced_crossing_balance(self):
         # interleaved pair with no compensating event is unrealizable
@@ -232,11 +253,76 @@ class TestFraming:
         assert framing(mobius_band(mirror_core(TREFOIL_CORE), 5)) == 10
 
 
+@functools.cache
+def _surfaces_workload():
+    return _load("bench_workloads", BENCH / "workloads.py").Surfaces
+
+
+def surfaces_items(seed):
+    """One round of the benchmark's ``surfaces`` inputs: 8-24 bands and
+    40-200 route events, orientable and not."""
+    workload = _surfaces_workload()
+    rng = random.Random(seed)
+    return [BandSurface.from_json(workload.make(rng, cls)) for cls in workload.classes]
+
+
+def compiler_cases():
+    """(label, surface, is a normal form) on every kind of surface the
+    library reads."""
+    rng = random.Random(2025)
+    for orientable in (False, True):
+        for k in range(40):
+            F = random_band_surface(rng, orientable=orientable)
+            yield f"random orientable={orientable} {k}", F, False
+    for k in range(40):
+        F = random_normal_form(rng, force_zero_framing=k % 2 == 0)
+        yield f"normal form {k}", F, True
+    for p in (-2001, -7, -1, 1, 3, 401):
+        core_k, _ = random_core(rng)
+        core_j, _ = random_core(rng)
+        yield f"klein p={p}", klein_bottle_for_cables(core_k, core_j, p), False
+    for k, F in enumerate(surfaces_items(1)):
+        yield f"surfaces item {k}", F, False
+
+
+def _half_form(G, x) -> int:
+    q = sum(x[a] * G[a][b] * x[b] for a in range(len(G)) for b in range(len(G)))
+    assert q % 2 == 0
+    return q // 2
+
+
 class TestCompile:
-    def test_boundary_and_longitude(self):
-        cc = compile_curves(mobius(1), ["K", "lambda"])
-        assert validate_diagram(cc.diagram) == []
-        assert cc.linking("K", "lambda") == framing(mobius(1))
+    def test_framing_and_self_linking_are_half_the_compiled_gl_pairing(self):
+        # the compiled GL form is the reference for both quadratic values:
+        # K's class is sum c_i*core_i, J's the sum of the even bands' cores
+        for label, F, normal in compiler_cases():
+            G = gl_form(F)
+            walks, _ = boundary_walk(F)
+            c = [0] * F.n_bands
+            for step in walks[0]:
+                if step[0] == "band":
+                    c[step[1]] += step[3]
+            assert framing(F) == _half_form(G, c), label
+            if normal:
+                evens = [1 - h % 2 for h in F.half_twists]
+                assert gamma_self_linking(F) == _half_form(G, evens), label
+
+    def test_every_pair_of_components_has_matching_over_counts(self):
+        # classical_linking raises unless a over b and b over a agree; this
+        # checks that no compile of valid data comes near that guard
+        for label, F, _ in compiler_cases():
+            n = F.n_bands
+            even = [i for i in range(n) if F.half_twists[i] % 2 == 0]
+            keys = [("core", i) for i in range(n)] + [("tau", i) for i in range(n)]
+            cc = compile_curves(F, keys + [("pushoff", i, s) for i in even for s in (1, -1)])
+            assert validate_diagram(cc.diagram) == [], label
+            over = Counter(cc.twist_boxes)
+            for x in cc.diagram.crossings:
+                over[x.over, x.under] += x.sign
+            m = cc.diagram.n_components
+            assert [
+                (a, b) for a in range(m) for b in range(a + 1, m) if over[a, b] != over[b, a]
+            ] == [], label
 
     def test_core_and_tau_give_gl(self):
         F = get_preset("figure-eight").nonorientable_surface
@@ -252,7 +338,7 @@ class TestCompile:
         with pytest.raises(ValueError, match="pushoff side"):
             compile_curves(klein_piece(), [("pushoff", 1, 2)])
         with pytest.raises(ValueError, match="duplicate curve request"):
-            compile_curves(mob, ["K", "K"])
+            compile_curves(mob, [("core", 0), ("core", 0)])
         with pytest.raises(ValueError, match="unknown curve request"):
             compile_curves(mob, ["Q"])
         with pytest.raises(ValueError, match="no band"):

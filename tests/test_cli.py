@@ -169,7 +169,8 @@ class TestKlein:
         assert code == 0
         assert "framing: 0" in out
 
-    def test_surface_is_validated_walked_and_compiled_twice(self, capsys, monkeypatch):
+    @staticmethod
+    def count_surface_reads(monkeypatch, capsys, *argv):
         calls = {"validate_surface": 0, "boundary_walk": 0, "compile_curves": 0}
         for name in calls:
             original = getattr(bandform, name)
@@ -179,11 +180,36 @@ class TestKlein:
                 return original(*args)
 
             monkeypatch.setattr(bandform, name, counted)
-        code, _, _ = call(
-            capsys, "klein", "--presetK", "trefoil", "--presetJ", "t25", "-p", "3"
-        )
+        code, _, _ = call(capsys, *argv)
         assert code == 0
-        assert calls == {"validate_surface": 2, "boundary_walk": 2, "compile_curves": 2}
+        return calls
+
+    def test_surface_is_validated_and_walked_three_times_and_compiled_once(
+        self, capsys, monkeypatch
+    ):
+        # shape and framing read the surface data; only the GL form compiles
+        calls = self.count_surface_reads(
+            monkeypatch, capsys, "klein", "--presetK", "trefoil", "--presetJ", "t25", "-p", "3"
+        )
+        assert calls == {"validate_surface": 3, "boundary_walk": 3, "compile_curves": 1}
+
+    def test_band_compiles_once(self, capsys, monkeypatch):
+        # gamma_self_linking walks the surface but does not compile it
+        calls = self.count_surface_reads(
+            monkeypatch, capsys, "band", "--preset", "figure-eight"
+        )
+        assert calls == {"validate_surface": 4, "boundary_walk": 4, "compile_curves": 1}
+
+    def test_a_reused_slot_exits_1(self, capsys):
+        # slot 0 is over in one crossing of K's core and under in the other
+        code, out, err = call(
+            capsys, "klein", "--coreK", "[[0,1,1],[1,0,1]]", "--coreJ", "[]", "-p", "3"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(
+            "error: invalid surface: band 0 slot 1 used twice: as under in event 0 "
+            "and as over in event 1; band 0 slot 0 used twice"
+        )
 
 
 class TestObstructCable:

@@ -1,24 +1,32 @@
-"""Pinned output of the curve compiler.
+"""Pinned output of the curve compiler, and pinned framings.
 
-Each case compiles one surface with one request list and digests what a
-linking number reads: the multiset of (sign, over component, under
+Each digest case compiles one surface with one request list and digests
+what a linking number reads: the multiset of (sign, over component, under
 component) crossings, the request-key-to-components map and the
-twist-box table. The digests in ``data/compiled_crossings.json`` were
-recorded while the compiler still built a full Gauss code, so they pin
-that dropping the passage order kept every crossing; the twelve
-``random_normal_form`` ``requests=all`` cases were re-recorded with the
-same compiler when the gamma request kinds left it. Re-record with
-``PYTHONPATH=src python tests/test_compiled_crossings.py`` only in a
-change meant to alter what the compiler emits.
+twist-box table. The ``gl`` and ``seifert`` digests in
+``data/compiled_crossings.json`` were recorded while the compiler still
+built a full Gauss code, so they pin that dropping the passage order kept
+every crossing. The ``all`` digests were re-recorded with the same
+compiler each time a request kind left it (the gamma curves, then the
+boundary K and its longitude lambda).
+
+Each ``framing`` case pins ``framing(F)`` on the same surfaces, as the
+compiler gave it by linking K with lambda before the framing was read off
+the surface data. Re-record with
+
+    PYTHONPATH=src python tests/test_compiled_crossings.py --record
+
+only in a change meant to alter what the compiler emits or a framing.
 """
 
 import hashlib
 import json
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
-from knotbands.bandform import compile_curves, klein_bottle_for_cables
+from knotbands.bandform import compile_curves, framing, klein_bottle_for_cables
 from knotbands.battery import random_band_surface, random_normal_form
 from knotbands.presets import get_preset, preset_names
 
@@ -39,11 +47,7 @@ def _request_lists(F):
     taus = [("tau", i) for i in range(n)]
     even = [i for i in range(n) if F.half_twists[i] % 2 == 0]
     pushoffs = [("pushoff", i, s) for i in even for s in (1, -1)]
-    lists = {
-        "boundary": ["K", "lambda"],
-        "gl": cores + taus,
-        "all": ["K", "lambda"] + cores + taus + pushoffs,
-    }
+    lists = {"gl": cores + taus, "all": cores + taus + pushoffs}
     if F.orientable:
         lists["seifert"] = [("pushoff", i, 1) for i in range(n)] + cores
     return lists
@@ -89,9 +93,25 @@ def compute_digests() -> dict[str, str]:
     return out
 
 
-def test_compiled_crossings_match_pinned_digests():
+def compute_framings() -> dict[str, int]:
+    return {f"{label} framing": framing(F) for label, F in _surfaces()}
+
+
+def _pinned(kind) -> dict:
     pinned = json.loads(DATA.read_text())
+    return {case: v for case, v in pinned.items() if isinstance(v, kind)}
+
+
+def test_compiled_crossings_match_pinned_digests():
+    pinned = _pinned(str)
     got = compute_digests()
+    assert sorted(got) == sorted(pinned)
+    assert [case for case in pinned if got[case] != pinned[case]] == []
+
+
+def test_framings_match_pinned_values():
+    pinned = _pinned(int)
+    got = compute_framings()
     assert sorted(got) == sorted(pinned)
     assert [case for case in pinned if got[case] != pinned[case]] == []
 
@@ -104,9 +124,13 @@ def test_cases_cover_every_request_kind():
                 if key[0] == "tau":
                     kinds.add(("tau", F.half_twists[key[1]] % 2))
                 else:
-                    kinds.add(key if isinstance(key, str) else key[0])
-    assert kinds == {"K", "lambda", "core", "pushoff", ("tau", 0), ("tau", 1)}
+                    kinds.add(key[0])
+    assert kinds == {"core", "pushoff", ("tau", 0), ("tau", 1)}
 
 
 if __name__ == "__main__":
-    DATA.write_text(json.dumps(compute_digests(), indent=1, sort_keys=True) + "\n")
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: python tests/test_compiled_crossings.py --record")
+    data = {**compute_digests(), **compute_framings()}
+    DATA.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(data)} pins to {DATA}")

@@ -5,8 +5,10 @@ the surface, or changes it to its mirror image. The compiler must answer
 with the matching transform: relabelling the bands permutes the
 Gordon-Litherland form G and the Seifert matrix V; rotating the attach
 order changes nothing; the mirror negates G and the framing and takes V
-to -V^T; a cancelling pair of band-over-band events changes nothing. The
-shape is the same under all four.
+to -V^T; a cancelling pair of band-over-band events changes nothing;
+reversing one band negates its row and column of G and V, which keeps
+the framing and the Alexander polynomial. The shape is the same under all
+five.
 """
 
 import random
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 from knotbands.bandform import framing, gl_form, seifert_matrix, shape, validate_surface
+from knotbands.invariants import alexander
 from knotbands.battery import random_band_surface, random_normal_form
 
 
@@ -77,7 +80,6 @@ def test_the_mirror_negates_the_forms(seed, kind):
     assert oracles.mirror_surface(moved) == F
 
 
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), KINDS)
 def test_a_cancelling_pair_changes_nothing(seed, kind):
@@ -91,3 +93,28 @@ def test_a_cancelling_pair_changes_nothing(seed, kind):
     assert gl_form(moved) == gl_form(F)
     if F.orientable:
         assert seifert_matrix(moved) == seifert_matrix(F)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), KINDS)
+def test_reversing_a_band_negates_its_row_and_column(seed, kind):
+    rng, F = _surface(seed, kind)
+    i = rng.randrange(F.n_bands)
+    moved = oracles.reverse_band(F, i)
+    assert validate_surface(moved) == []
+    assert shape(moved) == shape(F)
+    assert framing(moved) == framing(F)
+    d = [-1 if k == i else 1 for k in range(F.n_bands)]
+
+    def dmd(m):
+        return tuple(
+            tuple(d[a] * x * d[b] for b, x in enumerate(row)) for a, row in enumerate(m)
+        )
+
+    assert gl_form(moved) == dmd(gl_form(F))
+    if F.orientable:
+        V, W = seifert_matrix(F), seifert_matrix(moved)
+        assert W == dmd(V)
+        assert alexander(W) == alexander(V)
+    # reversing the band again gives the surface back
+    assert oracles.reverse_band(moved, i) == F

@@ -37,12 +37,12 @@ def _retwist(F: BandSurface, ks) -> BandSurface:
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_closed_form_matches_braided_box(m):
-    for directions in itertools.product((1, -1), repeat=m):
-        for h in range(-12, 13):
-            closed = twist_box_counts(directions, h)
-            braided = oracles.twist_box_over_counts(directions, h)
-            for pair in itertools.permutations(range(m), 2):
-                assert closed.get(pair, 0) == braided.get(pair, 0), (directions, h, pair)
+    # every compiled strand runs from end A to end B
+    for h in range(-12, 13):
+        closed = twist_box_counts(m, h)
+        braided = oracles.twist_box_over_counts([1] * m, h)
+        for pair in itertools.permutations(range(m), 2):
+            assert closed.get(pair, 0) == braided.get(pair, 0), (h, pair)
 
 
 ks = st.lists(st.integers(-40, 40), min_size=MAX_BANDS, max_size=MAX_BANDS)
