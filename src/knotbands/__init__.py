@@ -28,20 +28,17 @@ from .bandform import (
     SurfaceShape,
     analyze_surface,
     boundary_connect_sum,
-    boundary_walk,
     core_route,
     core_writhe,
     framing,
     gamma_self_linking,
     gl_form,
-    interleave_data,
     klein_bottle_for_cables,
     mirror_core,
     mobius_band,
     seifert_matrix,
     shape,
     surgery_shape,
-    validate_surface,
     zero_framing_stabilize,
 )
 from .diagram import (
@@ -98,7 +95,6 @@ __all__ = [
     "analyze_surface",
     "arf",
     "boundary_connect_sum",
-    "boundary_walk",
     "cable_concordance_check",
     "core_route",
     "core_writhe",
@@ -110,7 +106,6 @@ __all__ = [
     "gamma_self_linking",
     "gl_form",
     "inertia",
-    "interleave_data",
     "klein_bottle_for_cables",
     "levine_tristram",
     "mirror_core",
@@ -124,7 +119,6 @@ __all__ = [
     "smith_normal_form",
     "surgery_shape",
     "torus2_alexander",
-    "validate_surface",
     "zero_framing_stabilize",
     "get_preset",
     "preset_names",

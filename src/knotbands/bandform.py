@@ -52,7 +52,8 @@ class NormalFormError(ValueError):
 class RouteEvent(Record):
     """One band-over-band crossing: (band, slot) passages and a sign.
 
-    Slots order each band's events from end A toward end B.
+    Slots order each band's events from end A toward end B. Bands, slots
+    and the sign are ints; floats and bools are rejected, not truncated.
     """
 
     __slots__ = ("over", "under", "sign")
@@ -60,14 +61,46 @@ class RouteEvent(Record):
     under: tuple[int, int]
     sign: int
 
+    def __post_init__(self) -> None:
+        for passage in (self.over, self.under):
+            if type(passage) is not tuple or len(passage) != 2:
+                raise ValueError(f"route passage must be a (band, slot) tuple, got {passage!r}")
+        for band, slot in (self.over, self.under):
+            _int(band, "route band")
+            _int(slot, "route slot")
+        _int(self.sign, "route sign")
+
 
 class BandSurface(Record):
-    """half_twists[i] counts band i's signed half twists (+1 = right handed)."""
+    """half_twists[i] counts band i's signed half twists (+1 = right handed).
+
+    Building one checks it, once: the fields are tuples, the counts and
+    band indices are ints, the route holds RouteEvents,
+    ``_validate_surface`` finds no problem, and the boundary is one
+    circle. So every reader takes a BandSurface as valid.
+    """
 
     __slots__ = ("half_twists", "attach", "route")
     half_twists: tuple[int, ...]
     attach: tuple[tuple[int, str], ...]
     route: tuple[RouteEvent, ...]
+
+    def __post_init__(self) -> None:
+        for name, value in zip(self.__slots__, self._values()):
+            if type(value) is not tuple:
+                raise ValueError(f"{name} must be a tuple, got {value!r}")
+        _check_integers(self.half_twists, self.attach)
+        for ev in self.route:
+            if type(ev) is not RouteEvent:
+                raise ValueError(f"route entry must be a RouteEvent, got {ev!r}")
+        problems = _validate_surface(self.half_twists, self.attach, self.route)
+        if problems:
+            raise ValueError("invalid surface: " + "; ".join(problems))
+        count = _boundary_walk(self.half_twists, self.attach)[1]
+        if count != 1:
+            raise MultipleBoundaryError(
+                f"multiple boundary components: boundary walk found {count}"
+            )
 
     @staticmethod
     def build(
@@ -76,8 +109,8 @@ class BandSurface(Record):
         route: Iterable = (),
     ) -> "BandSurface":
         return BandSurface(
-            tuple(_int(h, "half_twists") for h in half_twists),
-            tuple((_int(i, "attach band index"), str(e)) for i, e in attach),
+            tuple(half_twists),
+            tuple((i, str(e)) for i, e in attach),
             tuple(_as_event(ev) for ev in route),
         )
 
@@ -88,14 +121,6 @@ class BandSurface(Record):
     @property
     def orientable(self) -> bool:
         return all(h % 2 == 0 for h in self.half_twists)
-
-    def end_positions(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Maps band -> attach position of its A end resp. B end."""
-        pos_a: dict[int, int] = {}
-        pos_b: dict[int, int] = {}
-        for k, (i, e) in enumerate(self.attach):
-            (pos_a if e == "A" else pos_b)[i] = k
-        return pos_a, pos_b
 
     def to_json(self) -> dict:
         return {
@@ -114,7 +139,10 @@ class BandSurface(Record):
     @staticmethod
     def from_json(data: dict) -> "BandSurface":
         """Accepts attach entries as ["band", i, "end", "A"] or plain [i, "A"]
-        and route passages as [band, slot]; longer lists are not cut short."""
+        and route passages as [band, slot]; longer lists are not cut short.
+
+        Unreadable data is "malformed band surface JSON"; data that reads
+        but is no surface raises as the constructor does."""
         try:
             known_keys(data, ("bands", "attach", "route"), "band surface")
             bands = []
@@ -129,9 +157,13 @@ class BandSurface(Record):
             for ev in data["route"]:
                 known_keys(ev, ("over", "under", "sign"), "route event")
                 route.append((ev["over"], ev["under"], ev["sign"]))
-            return BandSurface.build(bands, attach, route)
+            # a non-integer reads as malformed JSON, and the twists and band
+            # indices are checked before the events, as the constructor would
+            _check_integers(bands, attach)
+            route = [_as_event(ev) for ev in route]
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ValueError(f"malformed band surface JSON: {exc}") from exc
+        return BandSurface.build(bands, attach, route)
 
 
 class SurfaceShape(Record):
@@ -149,22 +181,26 @@ def _int(x, what: str) -> int:
     return x
 
 
-def _pair(x, what: str):
+def _check_integers(half_twists, attach) -> None:
+    for h in half_twists:
+        _int(h, "half_twists")
+    for entry in attach:
+        if type(entry) is not tuple or len(entry) != 2:
+            raise ValueError(f"attach entry must be a (band, end) tuple, got {entry!r}")
+        _int(entry[0], "attach band index")
+
+
+def _pair(x, what: str) -> tuple:
     if not isinstance(x, (list, tuple)) or len(x) != 2:
         raise ValueError(f"{what} must be a pair, got {x!r}")
-    return x
+    return tuple(x)
 
 
 def _as_event(ev) -> RouteEvent:
     if isinstance(ev, RouteEvent):
         return ev
     over, under, sign = ev
-    over, under = _pair(over, "route passage"), _pair(under, "route passage")
-    return RouteEvent(
-        (_int(over[0], "route band"), _int(over[1], "route slot")),
-        (_int(under[0], "route band"), _int(under[1], "route slot")),
-        _int(sign, "route sign"),
-    )
+    return RouteEvent(_pair(over, "route passage"), _pair(under, "route passage"), sign)
 
 
 def core_route(events: Iterable) -> tuple[RouteEvent, ...]:
@@ -183,13 +219,7 @@ def core_route(events: Iterable) -> tuple[RouteEvent, ...]:
                     f"triple, got {ev!r}"
                 )
             o, u, s = ev
-            out.append(
-                RouteEvent(
-                    (0, _int(o, "route slot")),
-                    (0, _int(u, "route slot")),
-                    _int(s, "route sign"),
-                )
-            )
+            out.append(RouteEvent((0, o), (0, u), s))
     return tuple(out)
 
 
@@ -206,6 +236,15 @@ def core_writhe(core: Iterable) -> int:
 
 # ---------------------------------------------------------------------------
 # validation and boundary combinatorics
+
+
+def _end_positions(attach) -> tuple[dict[int, int], dict[int, int]]:
+    """Maps band -> attach position of its A end resp. B end."""
+    pos_a: dict[int, int] = {}
+    pos_b: dict[int, int] = {}
+    for k, (i, e) in enumerate(attach):
+        (pos_a if e == "A" else pos_b)[i] = k
+    return pos_a, pos_b
 
 
 def _point(k: int) -> tuple[int, int]:
@@ -225,15 +264,16 @@ def _strictly_between(a: int, x: int, b: int, modulus: int) -> bool:
     return 0 < off < span
 
 
-def interleave_data(F: BandSurface) -> dict[tuple[int, int], tuple[bool, int]]:
-    """For each band pair i<j: (ends interleave?, orientation sign of the
-    two core chords). The sign is det of the chord directions, each chord
-    running from the band's B site back to its A site."""
-    pos_a, pos_b = F.end_positions()
-    m = 2 * F.n_bands
+def _interleave_data(attach) -> dict[tuple[int, int], tuple[bool, int]]:
+    """For each band pair i<j of a well-formed attach order: (ends
+    interleave?, orientation sign of the two core chords). The sign is det
+    of the chord directions, each chord running from the band's B site
+    back to its A site."""
+    pos_a, pos_b = _end_positions(attach)
+    m = len(attach)
     out: dict[tuple[int, int], tuple[bool, int]] = {}
-    for i in range(F.n_bands):
-        for j in range(i + 1, F.n_bands):
+    for i in range(m // 2):
+        for j in range(i + 1, m // 2):
             ilv = (
                 _strictly_between(pos_b[i], pos_b[j], pos_a[i], m)
                 + _strictly_between(pos_b[i], pos_a[j], pos_a[i], m)
@@ -249,14 +289,16 @@ def _sub(p, q):
     return (p[0] - q[0], p[1] - q[1])
 
 
-def validate_surface(F: BandSurface) -> list[str]:
-    """All structural violations; empty means the data is well formed."""
+def _validate_surface(half_twists, attach, route) -> list[str]:
+    """All structural violations of the data of a band surface; empty
+    means it is well formed. The ``BandSurface`` constructor raises for
+    any."""
     problems: list[str] = []
-    n = F.n_bands
-    if len(F.attach) != 2 * n:
-        problems.append(f"attach has length {len(F.attach)}, expected {2 * n}")
+    n = len(half_twists)
+    if len(attach) != 2 * n:
+        problems.append(f"attach has length {len(attach)}, expected {2 * n}")
     seen_ends = set()
-    for i, e in F.attach:
+    for i, e in attach:
         if e not in ("A", "B"):
             problems.append(f"attach end {e!r} is not 'A' or 'B'")
         elif not (0 <= i < n):
@@ -271,7 +313,7 @@ def validate_surface(F: BandSurface) -> list[str]:
     # a slot is one passage of its band, so it belongs to one event, in
     # one role; (event, role) of each slot's first use
     used: dict[tuple[int, int], tuple[int, str]] = {}
-    for k, ev in enumerate(F.route):
+    for k, ev in enumerate(route):
         if ev.sign not in (1, -1):
             problems.append(f"route event {k} has sign {ev.sign}")
         for role, (b, s) in (("over", ev.over), ("under", ev.under)):
@@ -293,12 +335,12 @@ def validate_surface(F: BandSurface) -> list[str]:
     # cores meet once on the disk, so the band-over-band counts must
     # compensate or no embedded surface has this data
     sums: dict[tuple[int, int], int] = {}
-    for ev in F.route:
+    for ev in route:
         i, j = ev.over[0], ev.under[0]
         if i != j:
             key = (min(i, j), max(i, j))
             sums[key] = sums.get(key, 0) + (ev.sign if i < j else -ev.sign)
-    for (i, j), (ilv, dsign) in interleave_data(F).items():
+    for (i, j), (ilv, dsign) in _interleave_data(attach).items():
         expected = -dsign if ilv else 0
         if sums.get((i, j), 0) != expected:
             problems.append(
@@ -309,17 +351,18 @@ def validate_surface(F: BandSurface) -> list[str]:
     return problems
 
 
-def boundary_walk(F: BandSurface):
-    """Closed walks of the surface boundary and their count.
+def _boundary_walk(half_twists, attach):
+    """Closed walks of the boundary of the surface with these half twists
+    and this well-formed attach order, and their count.
 
     Each walk is a tuple of steps: ("band", band, edge, dir) for a traversal
     of one band edge (edge 0/1; dir +1 means A toward B) or ("arc", k) for
     the disk arc following attach position k.
     """
-    n = F.n_bands
+    n = len(half_twists)
     if n == 0:
         return ((),), 1
-    pos_a, pos_b = F.end_positions()
+    pos_a, pos_b = _end_positions(attach)
     m = 2 * n
     # corners (position, +1|-1); every corner meets one arc and one band edge
     arc_of: dict[tuple[int, int], tuple] = {}
@@ -328,7 +371,7 @@ def boundary_walk(F: BandSurface):
         arc_of[(k, 1)] = ("arc", k, (k, 1), ((k + 1) % m, -1))
         arc_of[((k + 1) % m, -1)] = ("arc", k, (k, 1), ((k + 1) % m, -1))
     for i in range(n):
-        a, b, h = pos_a[i], pos_b[i], F.half_twists[i]
+        a, b, h = pos_a[i], pos_b[i], half_twists[i]
         flip = -1 if h % 2 else 1
         # edge 0 leaves end B at its -1 corner; an odd twist box swaps
         # which corner of end A it reaches
@@ -362,21 +405,6 @@ def boundary_walk(F: BandSurface):
                 break
         walks.append(tuple(steps))
     return tuple(walks), len(walks)
-
-
-def _walk(F: BandSurface) -> tuple:
-    """The one boundary walk of F; raises for an invalid surface or one
-    with more than one boundary component. Every surface reader starts
-    here."""
-    problems = validate_surface(F)
-    if problems:
-        raise ValueError("invalid surface: " + "; ".join(problems))
-    walks, count = boundary_walk(F)
-    if count != 1:
-        raise MultipleBoundaryError(
-            f"multiple boundary components: boundary walk found {count}"
-        )
-    return walks[0]
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +479,8 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
     components and the twist-box crossing counts.
 
     Request keys: ("core", i), ("pushoff", i, +1|-1) for even-twisted
-    bands and ("tau", i) (both pushoffs of core i at once). Raises for an
-    invalid or multi-boundary surface whatever the request.
+    bands and ("tau", i) (both pushoffs of core i at once).
     """
-    _walk(F)
     n = F.n_bands
     keys = list(curves)
     if len(set(keys)) != len(keys):
@@ -518,7 +544,7 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
 
     # disk chords: two bands' chords cross once iff their ends interleave;
     # higher chord over, ties to the lower band index
-    chords = interleave_data(F)
+    chords = _interleave_data(F.attach)
     for a in range(len(strands)):
         for b in range(a + 1, len(strands)):
             s1, s2 = strands[a], strands[b]
@@ -547,8 +573,7 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
 
 
 def shape(F: BandSurface) -> SurfaceShape:
-    """Topological type of the surface; needs a single boundary component."""
-    _walk(F)
+    """Topological type of the surface."""
     n = F.n_bands
     return SurfaceShape(F.orientable, n // 2 if F.orientable else n, 1 - n, 1)
 
@@ -580,7 +605,8 @@ def framing(F: BandSurface) -> int:
     On an orientable surface every c_i is 0.
     """
     c = [0] * F.n_bands
-    for step in _walk(F):
+    walks, _ = _boundary_walk(F.half_twists, F.attach)
+    for step in walks[0]:
         if step[0] == "band":
             c[step[1]] += step[3]
     return _half_pairing(F, c)
@@ -590,12 +616,10 @@ def gl_form(F: BandSurface) -> tuple[tuple[int, ...], ...]:
     """Gordon-Litherland pairing of the band cores: twists plus writhe on
     the diagonal, core-to-double-pushoff linking off it."""
     n = F.n_bands
+    # one band has no off-diagonal pairs, so nothing to compile
     if n > 1:
         curves = [("core", i) for i in range(n)] + [("tau", i) for i in range(n)]
         c = compile_curves(F, curves)
-    else:
-        # one band has no off-diagonal pairs, so nothing to compile
-        _walk(F)
     G = [[0] * n for _ in range(n)]
     for i in range(n):
         w = sum(ev.sign for ev in F.route if ev.over[0] == i and ev.under[0] == i)
@@ -608,8 +632,6 @@ def gl_form(F: BandSurface) -> tuple[tuple[int, ...], ...]:
 def seifert_matrix(F: BandSurface) -> tuple[tuple[int, ...], ...]:
     """V_ij = lk(core i pushed to the positive side, core j)."""
     if not F.orientable:
-        # an invalid surface is reported before its orientability
-        _walk(F)
         raise NotOrientableError("surface not orientable")
     n = F.n_bands
     curves = [("pushoff", i, 1) for i in range(n)] + [("core", j) for j in range(n)]
@@ -674,7 +696,6 @@ def gamma_self_linking(F: BandSurface) -> int:
 
     Each even band a has h_a even, so sum x_a^2*h_a is even.
     """
-    _walk(F)
     try:
         evens = _normal_form_even_bands(F)
     except NormalFormError as exc:
@@ -688,23 +709,29 @@ def gamma_self_linking(F: BandSurface) -> int:
 # ---------------------------------------------------------------------------
 # surface constructions
 
+_ENDS = ((0, "A"), (0, "B"))
+
+
+def _connect_sum(pieces) -> BandSurface:
+    """The surface joined along the disk from the (half_twists, attach,
+    route) data of its summands, in order, and so checked once."""
+    twists: list[int] = []
+    attach: list[tuple[int, str]] = []
+    route: list[RouteEvent] = []
+    for h, ends, events in pieces:
+        n = len(twists)
+        twists += h
+        attach += [(i + n, e) for i, e in ends]
+        route += [
+            RouteEvent((ev.over[0] + n, ev.over[1]), (ev.under[0] + n, ev.under[1]), ev.sign)
+            for ev in events
+        ]
+    return BandSurface(tuple(twists), tuple(attach), tuple(route))
+
 
 def boundary_connect_sum(F1: BandSurface, F2: BandSurface) -> BandSurface:
     """Join along the disk; framings add, forms go block diagonal."""
-    n1 = F1.n_bands
-    return BandSurface(
-        F1.half_twists + F2.half_twists,
-        F1.attach + tuple((i + n1, e) for i, e in F2.attach),
-        F1.route
-        + tuple(
-            RouteEvent(
-                (ev.over[0] + n1, ev.over[1]),
-                (ev.under[0] + n1, ev.under[1]),
-                ev.sign,
-            )
-            for ev in F2.route
-        ),
-    )
+    return _connect_sum([(F.half_twists, F.attach, F.route) for F in (F1, F2)])
 
 
 def zero_framing_stabilize(F: BandSurface) -> BandSurface:
@@ -713,13 +740,8 @@ def zero_framing_stabilize(F: BandSurface) -> BandSurface:
     f = framing(F)
     if f == 0:
         return F
-    h = -1 if f > 0 else 1
-    out = F
-    for _ in range(abs(f) // 2):
-        out = boundary_connect_sum(
-            out, BandSurface.build([h], [(0, "A"), (0, "B")])
-        )
-    return out
+    cap = ((-1 if f > 0 else 1,), _ENDS, ())
+    return _connect_sum([(F.half_twists, F.attach, F.route)] + [cap] * (abs(f) // 2))
 
 
 def surgery_shape(s: SurfaceShape, result_orientable: bool) -> SurfaceShape:
@@ -742,19 +764,24 @@ def surgery_shape(s: SurfaceShape, result_orientable: bool) -> SurfaceShape:
     return SurfaceShape(result_orientable, genus, euler, b)
 
 
-def mobius_band(core, p: int) -> BandSurface:
-    """One band riding the given knot route; boundary is the (2,p) cable
-    of the core, framing 2p."""
+def _mobius(core, p: int) -> tuple:
+    """(half_twists, attach, route) of the band of ``mobius_band``."""
     if _int(p, "p") % 2 == 0:
         raise ValueError("p must be odd")
     events = core_route(core)
     w = sum(ev.sign for ev in events)
-    return BandSurface((p - 2 * w,), ((0, "A"), (0, "B")), events)
+    return (p - 2 * w,), _ENDS, events
+
+
+def mobius_band(core, p: int) -> BandSurface:
+    """One band riding the given knot route; boundary is the (2,p) cable
+    of the core, framing 2p."""
+    return BandSurface(*_mobius(core, p))
 
 
 def klein_bottle_for_cables(core_k, core_j, p: int) -> BandSurface:
     """Zero-framed punctured Klein bottle bounding the connect sum of the
-    (2,p) cable of core_k and the (2,-p) cable of the mirror of core_j."""
-    return boundary_connect_sum(
-        mobius_band(core_k, p), mobius_band(mirror_core(core_j), -p)
-    )
+    (2,p) cable of core_k and the (2,-p) cable of the mirror of core_j.
+    It is built in one piece, so a bad route is reported by its place in
+    the whole surface."""
+    return _connect_sum([_mobius(core_k, p), _mobius(mirror_core(core_j), -p)])

@@ -28,6 +28,10 @@ the curve compiler emits have signs +-1 and name components that exist.
 ``append_cancelling_pair`` and ``reverse_band`` are surface moves with a
 known effect on the Gordon-Litherland form, the framing and the Seifert
 matrix, for metamorphic tests of the curve compiler.
+``surface_problems`` is the verdict the surface readers gave on raw band
+surface data before the ``BandSurface`` constructor checked it: the
+structural problems, then the number of boundary circles, counted by
+merging the corners that arcs and band edges join.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 
-from knotbands import BandSurface, LaurentPoly
+from knotbands import BandSurface, LaurentPoly, MultipleBoundaryError
 from knotbands.algebra import is_symmetric
 from knotbands.diagram import CrossingList
 
@@ -498,6 +502,111 @@ def reverse_band(F: BandSurface, i: int) -> BandSurface:
         route.append((passage(ev.over), passage(ev.under), -ev.sign if crossed else ev.sign))
     attach = [(b, {"A": "B", "B": "A"}[e] if b == i else e) for b, e in F.attach]
     return BandSurface.build(F.half_twists, attach, route)
+
+
+def _crossing_chords(attach) -> dict[tuple[int, int], int]:
+    """(i, j) -> the sign of the disk crossing of the cores of bands i < j,
+    for the pairs whose ends interleave; each core chord runs from the B
+    site to the A site, and site k sits at (k, k^2)."""
+    site = {(i, e): k for k, (i, e) in enumerate(attach)}
+    n = len(attach) // 2
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            lo, hi = sorted((site[i, "A"], site[i, "B"]))
+            inside = sum(lo < site[j, e] < hi for e in "AB")
+            if inside == 1:
+                (xi, yi), (xj, yj) = (
+                    (site[b, "A"] - site[b, "B"], site[b, "A"] ** 2 - site[b, "B"] ** 2)
+                    for b in (i, j)
+                )
+                d = xi * yj - yi * xj
+                out[i, j] = (d > 0) - (d < 0)
+    return out
+
+
+def _boundary_circles(half_twists, attach) -> int:
+    """Corners (site, +-1) joined by the disk arcs and the band edges; an
+    odd band crosses its edges over, and every corner meets one arc and
+    one edge, so each class of joined corners is one boundary circle."""
+    m = len(attach)
+    if m == 0:
+        return 1
+    parent = {(k, s): (k, s) for k in range(m) for s in (1, -1)}
+
+    def root(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    def join(x, y):
+        parent[root(x)] = root(y)
+
+    site = {(i, e): k for k, (i, e) in enumerate(attach)}
+    for k in range(m):
+        join((k, 1), ((k + 1) % m, -1))
+    for i, h in enumerate(half_twists):
+        a, b, flip = site[i, "A"], site[i, "B"], -1 if h % 2 else 1
+        join((a, flip), (b, -1))
+        join((a, -flip), (b, 1))
+    return len({root(c) for c in parent})
+
+
+def surface_problems(half_twists, attach, route):
+    """None for valid one-boundary surface data, else the (exception type,
+    message) a surface reader raised for it: every structural problem,
+    the attach order's first, then the route's, then the crossing
+    balance; failing those, the boundary circle count."""
+    n = len(half_twists)
+    problems = []
+    if len(attach) != 2 * n:
+        problems.append(f"attach has length {len(attach)}, expected {2 * n}")
+    seen = set()
+    for i, e in attach:
+        if e not in ("A", "B"):
+            problems.append(f"attach end {e!r} is not 'A' or 'B'")
+        elif not 0 <= i < n:
+            problems.append(f"attach references band {i}, out of range")
+        elif (i, e) in seen:
+            problems.append(f"band {i} end {e} attached more than once")
+        seen.add((i, e))
+    if not problems:
+        first_use = {}
+        for k, ev in enumerate(route):
+            if ev.sign not in (1, -1):
+                problems.append(f"route event {k} has sign {ev.sign}")
+            for role, (b, s) in (("over", ev.over), ("under", ev.under)):
+                if not 0 <= b < n:
+                    problems.append(f"route event {k} {role} band {b} out of range")
+                elif first_use.setdefault((b, s), (k, role))[0] != k:
+                    first, first_role = first_use[b, s]
+                    problems.append(
+                        f"band {b} slot {s} used twice: as {first_role} in event "
+                        f"{first} and as {role} in event {k}"
+                    )
+            if ev.over == ev.under:
+                problems.append(f"route event {k} crosses a slot with itself")
+    if not problems:
+        chords = _crossing_chords(attach)
+        for i in range(n):
+            for j in range(i + 1, n):
+                net = sum(
+                    ev.sign if (ev.over[0], ev.under[0]) == (i, j) else -ev.sign
+                    for ev in route
+                    if {ev.over[0], ev.under[0]} == {i, j}
+                )
+                if net != -chords.get((i, j), 0):
+                    problems.append(
+                        f"route crossings between bands {i} and {j} are unbalanced: "
+                        f"net {net} over-minus-under, expected {-chords.get((i, j), 0)}; "
+                        "no classical surface realizes this"
+                    )
+    if problems:
+        return ValueError, "invalid surface: " + "; ".join(problems)
+    circles = _boundary_circles(half_twists, attach)
+    if circles != 1:
+        return MultipleBoundaryError, f"multiple boundary components: boundary walk found {circles}"
+    return None
 
 
 def permute(m, perm) -> tuple[tuple[int, ...], ...]:

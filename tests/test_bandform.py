@@ -14,44 +14,48 @@ from knotbands.bandform import (
     NotOrientableError,
     RouteEvent,
     SurfaceAnalysis,
+    _boundary_walk,
+    _interleave_data,
+    _validate_surface,
     analyze_surface,
     boundary_connect_sum,
-    boundary_walk,
     compile_curves,
     core_route,
     core_writhe,
     framing,
     gamma_self_linking,
     gl_form,
-    interleave_data,
     klein_bottle_for_cables,
     mirror_core,
     mobius_band,
     seifert_matrix,
     shape,
     surgery_shape,
-    validate_surface,
     zero_framing_stabilize,
 )
 from knotbands.battery import random_band_surface, random_core, random_normal_form
 from knotbands.presets import get_preset
+import oracles
 from oracles import validate_diagram
 from test_bench_contract import BENCH, _load
 
 TREFOIL_CORE = core_route([(0, 3, 1), (4, 1, 1), (2, 5, 1)])
+ENDS = ((0, "A"), (0, "B"))
+INTERLEAVED = ((0, "A"), (1, "A"), (0, "B"), (1, "B"))
+SEPARATED = ENDS + ((1, "A"), (1, "B"))
 
 
 def mobius(h):
-    return BandSurface.build([h], [(0, "A"), (0, "B")])
+    return BandSurface.build([h], ENDS)
 
 
 def two_bands(h0, h1, interleaved, events=()):
-    attach = (
-        [(0, "A"), (1, "A"), (0, "B"), (1, "B")]
-        if interleaved
-        else [(0, "A"), (0, "B"), (1, "A"), (1, "B")]
-    )
-    return BandSurface.build([h0, h1], attach, events)
+    return BandSurface.build([h0, h1], INTERLEAVED if interleaved else SEPARATED, events)
+
+
+def problems_of(F):
+    """The reader-side verdict of ``oracles.surface_problems`` on F's data."""
+    return oracles.surface_problems(F.half_twists, F.attach, F.route)
 
 
 # the standard punctured Klein bottle piece: one odd and one even band,
@@ -72,67 +76,74 @@ GAMMA_PINNED = (
 )
 
 
-# surfaces that are invalid or have more than one boundary component, with
-# the error every surface reader raises for them
+# (half_twists, attach, route) of data that is no surface or has more than
+# one boundary component, with the error building it raises; the data is
+# built inside each test, so that a case that builds fails that test and
+# not the collection of the module
 BAD_SURFACES = [
     (
-        BandSurface.build([1], [(0, "A"), (0, "B")], [((0, 0), (0, 0), 1)]),
+        ([1], ENDS, [((0, 0), (0, 0), 1)]),
         ValueError,
         "invalid surface: route event 0 crosses a slot with itself",
     ),
     (
-        two_bands(1, 0, True),
+        ([1, 0], INTERLEAVED, []),
         ValueError,
         "invalid surface: route crossings between bands 0 and 1 are "
         "unbalanced: net 0 over-minus-under, expected -1; "
         "no classical surface realizes this",
     ),
     (
-        BandSurface.build([2], [(0, "A")]),
+        ([2], [(0, "A")], []),
         ValueError,
         "invalid surface: attach has length 1, expected 2",
     ),
     (
-        two_bands(1, 0, False),
+        ([1, 0], SEPARATED, []),
         MultipleBoundaryError,
         "multiple boundary components: boundary walk found 2",
     ),
     (
-        mobius(0),
+        ([0], ENDS, []),
         MultipleBoundaryError,
         "multiple boundary components: boundary walk found 2",
+    ),
+    (
+        ([1, 1], SEPARATED, [((0, 0), (0, 0), 1)]),
+        ValueError,
+        "invalid surface: route event 0 crosses a slot with itself",
     ),
 ]
 
 
 class TestBoundaryWalk:
     def test_disk(self):
-        assert boundary_walk(BandSurface.build([], [])) == (((),), 1)
+        assert _boundary_walk((), ()) == (((),), 1)
 
     def test_mobius_single_boundary(self):
-        walks, count = boundary_walk(mobius(1))
+        walks, count = _boundary_walk((1,), ENDS)
         assert count == 1
         steps = walks[0]
         assert len(steps) == 4  # two arcs, two passes over the band
         assert {s[0] for s in steps} == {"arc", "band"}
 
     def test_annulus_two_boundaries(self):
-        _, count = boundary_walk(mobius(0))
+        _, count = _boundary_walk((0,), ENDS)
         assert count == 2
-        _, count = boundary_walk(mobius(2))
+        _, count = _boundary_walk((2,), ENDS)
         assert count == 2
 
     def test_separated_bands_two_boundaries(self):
-        _, count = boundary_walk(two_bands(1, 0, False))
+        _, count = _boundary_walk((1, 0), SEPARATED)
         assert count == 2
 
     def test_interleaved_bands_single_boundary(self):
-        _, count = boundary_walk(klein_piece())
+        _, count = _boundary_walk((1, 0), INTERLEAVED)
         assert count == 1
 
     def test_alternates_arcs_and_bands(self):
         for F in (mobius(3), klein_piece(), get_preset("t25").orientable_surface):
-            walks, _ = boundary_walk(F)
+            walks, _ = _boundary_walk(F.half_twists, F.attach)
             for w in walks:
                 kinds = [s[0] for s in w]
                 for a, b in zip(kinds, kinds[1:] + kinds[:1]):
@@ -153,77 +164,203 @@ class TestShape:
         assert (kb.orientable, kb.genus, kb.euler) == (False, 2, -1)
         assert kb.boundary_components == 1
 
-    def test_multiple_boundary_rejected(self):
-        with pytest.raises(MultipleBoundaryError, match="multiple boundary components"):
-            shape(two_bands(1, 0, False))
-
-    def test_invalid_surface_rejected(self):
-        bad = BandSurface.build([1, 1], [(0, "A"), (0, "B"), (1, "A"), (1, "B")],
-                                [((0, 0), (0, 0), 1)])
-        with pytest.raises(ValueError, match="invalid surface"):
-            shape(bad)
-
 
 class TestValidate:
+    @staticmethod
+    def problems(half_twists, attach, route=()):
+        """_validate_surface on raw data; building that data raises them."""
+        route = [RouteEvent(*ev) for ev in route]
+        problems = _validate_surface(half_twists, attach, route)
+        if problems:
+            message = re.escape("invalid surface: " + "; ".join(problems))
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                BandSurface(tuple(half_twists), tuple(attach), tuple(route))
+        return problems
+
     def test_presets_clean(self):
         for name in ("unknot", "trefoil", "figure-eight", "t25"):
             pk = get_preset(name)
-            assert validate_surface(pk.orientable_surface) == []
-            assert validate_surface(pk.nonorientable_surface) == []
+            for F in (pk.orientable_surface, pk.nonorientable_surface):
+                assert _validate_surface(F.half_twists, F.attach, F.route) == []
+                assert problems_of(F) is None
 
     def test_attach_problems(self):
-        F = BandSurface.build([1], [(0, "A")])
-        assert any("attach has length" in p for p in validate_surface(F))
-        F = BandSurface.build([1], [(0, "A"), (0, "A")])
-        assert any("attached more than once" in p for p in validate_surface(F))
-        F = BandSurface.build([1], [(0, "A"), (1, "B")])
-        assert any("out of range" in p for p in validate_surface(F))
+        assert any("attach has length" in p for p in self.problems([1], [(0, "A")]))
+        assert any(
+            "attached more than once" in p for p in self.problems([1], [(0, "A"), (0, "A")])
+        )
+        assert any("out of range" in p for p in self.problems([1], [(0, "A"), (1, "B")]))
 
     def test_route_problems(self):
-        F = BandSurface.build([1], [(0, "A"), (0, "B")], [((0, 0), (0, 0), 1)])
-        assert any("crosses a slot with itself" in p for p in validate_surface(F))
-        F = BandSurface.build([1], [(0, "A"), (0, "B")], [((0, 0), (0, 1), 2)])
-        assert any("has sign" in p for p in validate_surface(F))
-        F = BandSurface.build(
-            [1, 1],
-            [(0, "A"), (0, "B"), (1, "A"), (1, "B")],
-            [((0, 0), (1, 0), 1), ((0, 0), (1, 1), -1)],
-        )
-        assert validate_surface(F) == [
+        problems = self.problems([1], ENDS, [((0, 0), (0, 0), 1)])
+        assert any("crosses a slot with itself" in p for p in problems)
+        assert any("has sign" in p for p in self.problems([1], ENDS, [((0, 0), (0, 1), 2)]))
+        problems = self.problems([1, 1], SEPARATED, [((0, 0), (1, 0), 1), ((0, 0), (1, 1), -1)])
+        assert problems == [
             "band 0 slot 0 used twice: as over in event 0 and as over in event 1"
         ]
 
     def test_a_slot_is_one_passage(self):
         # slot 0 is over in one crossing and under in the other, as is slot 1
-        F = mobius_band([(0, 1, 1), (1, 0, 1)], 3)
+        route = [(0, 1, 1), (1, 0, 1)]
         problems = [
             "band 0 slot 1 used twice: as under in event 0 and as over in event 1",
             "band 0 slot 0 used twice: as over in event 0 and as under in event 1",
         ]
-        assert validate_surface(F) == problems
+        assert _validate_surface((3,), ENDS, core_route(route)) == problems
         message = re.escape("invalid surface: " + "; ".join(problems))
-        for fn in (shape, framing, gl_form):
+        # each way of building the band refuses it, so no reader sees it
+        for build in (
+            lambda: mobius_band(route, 3),
+            lambda: BandSurface.build([3], ENDS, core_route(route)),
+            lambda: klein_bottle_for_cables(route, (), 3),
+        ):
             with pytest.raises(ValueError, match=f"^{message}$"):
-                fn(F)
+                build()
         # one event over and under the same slot keeps its own message
-        F = mobius_band([(0, 0, 1)], 3)
-        assert validate_surface(F) == ["route event 0 crosses a slot with itself"]
+        assert _validate_surface((3,), ENDS, core_route([(0, 0, 1)])) == [
+            "route event 0 crosses a slot with itself"
+        ]
 
     def test_disk_forced_crossing_balance(self):
         # interleaved pair with no compensating event is unrealizable
-        F = two_bands(1, 0, True)
-        problems = validate_surface(F)
-        assert any("unbalanced" in p for p in problems)
-        assert validate_surface(klein_piece()) == []
+        assert any("unbalanced" in p for p in self.problems([1, 0], INTERLEAVED))
+        F = klein_piece()
+        assert _validate_surface(F.half_twists, F.attach, F.route) == []
         # and a canceling pair keeps a separated pair balanced
-        F = two_bands(1, 0, False, [((0, 0), (1, 0), 1), ((0, 1), (1, 1), -1)])
-        assert validate_surface(F) == []
+        assert self.problems([1, 0], SEPARATED, [((0, 0), (1, 0), 1), ((0, 1), (1, 1), -1)]) == []
 
     def test_interleave_data(self):
-        data = interleave_data(two_bands(1, 0, True))
-        assert data[(0, 1)][0] is True
-        data = interleave_data(two_bands(1, 0, False))
-        assert data[(0, 1)][0] is False
+        assert _interleave_data(INTERLEAVED)[(0, 1)][0] is True
+        assert _interleave_data(SEPARATED)[(0, 1)][0] is False
+
+
+class TestRecordsCheckThemselves:
+    """A BandSurface or RouteEvent built directly is checked as the
+    builders check: a float twist count gave framing 6.0, and an event
+    with a bool slot passed core_route, mobius_band and BandSurface.build
+    and gave a GL form."""
+
+    @pytest.mark.parametrize("h", [3.0, True])
+    def test_twist_counts_are_ints(self, h):
+        message = f"^half_twists must be an integer, got {h!r}$"
+        with pytest.raises(ValueError, match=message):
+            BandSurface((h,), ENDS, ())
+        with pytest.raises(ValueError, match=message):
+            BandSurface.build([h], ENDS)
+
+    @pytest.mark.parametrize("i", [0.0, False])
+    def test_band_indices_are_ints(self, i):
+        with pytest.raises(ValueError, match=f"^attach band index must be an integer, got {i!r}$"):
+            BandSurface((1,), ((i, "A"), (0, "B")), ())
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (([1], [(0, "A"), (0, "B")], []), "half_twists must be a tuple, got [1]"),
+            (((1,), list(ENDS), ()), "attach must be a tuple, got [(0, 'A'), (0, 'B')]"),
+            (((1,), ENDS, []), "route must be a tuple, got []"),
+            (
+                ((1,), ((0, "A"), [0, "B"]), ()),
+                "attach entry must be a (band, end) tuple, got [0, 'B']",
+            ),
+            (((1,), ((0, "A"), (0,)), ()), "attach entry must be a (band, end) tuple, got (0,)"),
+            (
+                ((1,), ENDS, (((0, 0), (0, 1), 1),)),
+                "route entry must be a RouteEvent, got ((0, 0), (0, 1), 1)",
+            ),
+        ],
+    )
+    def test_fields_are_tuples_of_checked_entries(self, data, message):
+        # a list field could be changed after the check: a Moebius band
+        # built from a list of twists became an annulus that the readers,
+        # which no longer check, took as one boundary circle
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BandSurface(*data)
+
+    @pytest.mark.parametrize(
+        "over, under, sign, message",
+        [
+            ((0, True), (0, 0.0), 1, "route slot must be an integer, got True"),
+            ((0, 0), (0, 0.0), 1, "route slot must be an integer, got 0.0"),
+            ((False, 0), (0, 1), 1, "route band must be an integer, got False"),
+            ((0, 0), (0, 1), 1.0, "route sign must be an integer, got 1.0"),
+            ([0, 0], (0, 1), 1, "route passage must be a (band, slot) tuple, got [0, 0]"),
+            ((0, 0, 7), (0, 1), 1, "route passage must be a (band, slot) tuple, got (0, 0, 7)"),
+        ],
+    )
+    def test_route_events_are_ints(self, over, under, sign, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RouteEvent(over, under, sign)
+
+    def test_the_builders_refuse_them_too(self):
+        with pytest.raises(ValueError, match="^route slot must be an integer, got True$"):
+            core_route([(True, 1, 1)])
+        with pytest.raises(ValueError, match="^route slot must be an integer, got True$"):
+            mobius_band([(0, True, 1)], 1)
+        with pytest.raises(ValueError, match="^route sign must be an integer, got 1.0$"):
+            BandSurface.build([1], ENDS, [((0, 0), (0, 1), 1.0)])
+
+
+def _mutants(F, rng):
+    """(kind, half_twists, attach, route): F's data with one thing changed."""
+    twists, attach, route = list(F.half_twists), list(F.attach), list(F.route)
+    crossing = [k for k, ev in enumerate(route) if ev.over[0] != ev.under[0]]
+    if crossing:
+        k = rng.choice(crossing)
+        yield "drop a balancing event", twists, attach, route[:k] + route[k + 1 :]
+    if route:
+        k = rng.randrange(len(route))
+        ev = route[k]
+        taken = [p for j, e in enumerate(route) if j != k for p in (e.over, e.under)]
+        reused = RouteEvent(rng.choice(taken or [ev.under]), ev.under, ev.sign)
+        yield "reuse a slot", twists, attach, route[:k] + [reused] + route[k + 1 :]
+        k = rng.randrange(len(route))
+        ev = RouteEvent(route[k].over, route[k].under, rng.choice((0, 2)))
+        yield "sign 0 or 2", twists, attach, route[:k] + [ev] + route[k + 1 :]
+    k = rng.randrange(len(attach))
+    yield "drop an end", twists, attach[:k] + attach[k + 1 :], route
+    k, j = rng.sample(range(len(attach)), 2)
+    yield "repeat an end", twists, attach[:k] + [attach[j]] + attach[k + 1 :], route
+    i = rng.randrange(len(twists))
+    flipped = twists[:i] + [twists[i] + rng.choice((1, -1))] + twists[i + 1 :]
+    yield "flip a twist's parity", flipped, attach, route
+
+
+class TestConstructionMatchesTheReaders:
+    def test_building_raises_exactly_when_the_readers_did(self):
+        # oracles.surface_problems is the verdict the surface readers gave
+        # before the constructor checked: the same error and message, or
+        # a surface that builds
+        rng = random.Random(26)
+        seen: Counter = Counter()
+        for k in range(120):
+            if k % 3 == 2:
+                F = random_normal_form(rng, force_zero_framing=k % 2 == 0)
+            else:
+                F = random_band_surface(rng, orientable=k % 3 == 1)
+            assert problems_of(F) is None
+            for kind, twists, attach, route in _mutants(F, rng):
+                expected = oracles.surface_problems(twists, attach, route)
+                data = tuple(twists), tuple(attach), tuple(route)
+                if expected is None:
+                    BandSurface(*data)
+                    seen[kind, "builds"] += 1
+                    continue
+                error, message = expected
+                with pytest.raises(error) as info:
+                    BandSurface(*data)
+                assert (type(info.value), str(info.value)) == expected, kind
+                seen[kind, error.__name__] += 1
+        # every mutation was refused somewhere, and a flipped parity both
+        # split the boundary and left it whole
+        for kind in ("drop a balancing event", "reuse a slot", "sign 0 or 2",
+                     "drop an end", "repeat an end"):
+            assert seen[kind, "ValueError"] > 0, kind
+        assert seen["reuse a slot", "builds"] == 0
+        assert seen["drop a balancing event", "ValueError"] > 20
+        assert seen["flip a twist's parity", "MultipleBoundaryError"] > 20
+        assert seen["flip a twist's parity", "builds"] > 20
 
 
 class TestFraming:
@@ -297,7 +434,7 @@ class TestCompile:
         # K's class is sum c_i*core_i, J's the sum of the even bands' cores
         for label, F, normal in compiler_cases():
             G = gl_form(F)
-            walks, _ = boundary_walk(F)
+            walks, _ = _boundary_walk(F.half_twists, F.attach)
             c = [0] * F.n_bands
             for step in walks[0]:
                 if step[0] == "band":
@@ -418,12 +555,30 @@ class TestAnalyzeSurface:
                 assert got == self.one_by_one(F)
                 assert got.framing == 0 and got.shape.genus == 2
 
-    @pytest.mark.parametrize("F, error, message", BAD_SURFACES)
-    def test_bad_surfaces_raise_as_before(self, F, error, message):
-        for fn in (shape, framing, gl_form, seifert_matrix, analyze_surface):
+    @pytest.mark.parametrize("data, error, message", BAD_SURFACES)
+    def test_bad_surfaces_do_not_build(self, data, error, message):
+        # each raised from every surface reader before the constructor
+        # checked; now no reader can be handed one
+        twists, attach, route = data
+        json_data = {
+            "bands": [{"half_twists": h} for h in twists],
+            "attach": [list(e) for e in attach],
+            "route": [{"over": o, "under": u, "sign": s} for o, u, s in route],
+        }
+        for build in (
+            lambda: BandSurface.build(twists, attach, route),
+            lambda: BandSurface(
+                tuple(twists), tuple(attach), tuple(RouteEvent(*ev) for ev in route)
+            ),
+            # not wrapped as malformed JSON: the JSON reads, the surface is bad
+            lambda: BandSurface.from_json(json_data),
+        ):
             with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
-                fn(F)
+                build()
             assert type(info.value) is error
+        assert oracles.surface_problems(
+            twists, attach, [RouteEvent(*ev) for ev in route]
+        ) == (error, message)
 
 
 class TestGamma:
@@ -451,14 +606,6 @@ class TestGamma:
                 )
             )
 
-    @pytest.mark.parametrize("F, error, message", BAD_SURFACES)
-    def test_bad_surfaces_raise_before_the_normal_form_check(self, F, error, message):
-        # the surface is read before its normal form is checked, so these
-        # raise as every other reader does, not with NormalFormError
-        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
-            gamma_self_linking(F)
-        assert type(info.value) is error
-
     def test_pinned_values(self):
         got = tuple(
             gamma_self_linking(
@@ -483,7 +630,7 @@ class TestSums:
         a = get_preset("trefoil").nonorientable_surface
         b = get_preset("figure-eight").nonorientable_surface
         s = boundary_connect_sum(a, b)
-        assert validate_surface(s) == []
+        assert problems_of(s) is None
         assert framing(s) == framing(a) + framing(b)
         ga, gb, gs = gl_form(a), gl_form(b), gl_form(s)
         na = len(ga)
@@ -505,13 +652,13 @@ class TestSums:
         a = random_band_surface(rng, max_bands=3, max_events=6)
         b = random_band_surface(rng, max_bands=3, max_events=6)
         s = boundary_connect_sum(a, b)
-        assert validate_surface(s) == []
+        assert problems_of(s) is None
         assert framing(s) == framing(a) + framing(b)
 
     def test_zero_framing_stabilize(self):
         F = zero_framing_stabilize(mobius(3))
         assert framing(F) == 0
-        assert validate_surface(F) == []
+        assert problems_of(F) is None
         assert shape(F).genus == 1 + 3  # three compensating cross caps
         already = klein_piece()
         assert zero_framing_stabilize(already) == already
@@ -560,7 +707,7 @@ class TestMobiusAndKlein:
     def test_klein_bottle_for_cables(self):
         for p in (-3, -1, 1, 3):
             F = klein_bottle_for_cables(TREFOIL_CORE, (), p)
-            assert validate_surface(F) == []
+            assert problems_of(F) is None
             assert framing(F) == 0
             assert gl_form(F) == ((p, 0), (0, -p))
             sh = shape(F)
@@ -640,7 +787,7 @@ class TestGeneratorContracts:
     @given(st.integers(0, 10 ** 6), st.booleans())
     def test_random_surfaces_are_embeddable_data(self, seed, orientable):
         F = random_band_surface(random.Random(seed), orientable=orientable)
-        assert validate_surface(F) == []
+        assert problems_of(F) is None
         sh = shape(F)
         assert sh.orientable == orientable
         assert sh.boundary_components == 1

@@ -171,7 +171,7 @@ class TestKlein:
 
     @staticmethod
     def count_surface_reads(monkeypatch, capsys, *argv):
-        calls = {"validate_surface": 0, "boundary_walk": 0, "compile_curves": 0}
+        calls = {"_validate_surface": 0, "_boundary_walk": 0, "compile_curves": 0}
         for name in calls:
             original = getattr(bandform, name)
 
@@ -184,21 +184,21 @@ class TestKlein:
         assert code == 0
         return calls
 
-    def test_surface_is_validated_and_walked_three_times_and_compiled_once(
-        self, capsys, monkeypatch
-    ):
-        # shape and framing read the surface data; only the GL form compiles
+    def test_surface_is_checked_once_and_compiled_once(self, capsys, monkeypatch):
+        # the Klein bottle is checked once, when it is built; framing walks
+        # its boundary once more, and only the GL form compiles
         calls = self.count_surface_reads(
             monkeypatch, capsys, "klein", "--presetK", "trefoil", "--presetJ", "t25", "-p", "3"
         )
-        assert calls == {"validate_surface": 3, "boundary_walk": 3, "compile_curves": 1}
+        assert calls == {"_validate_surface": 1, "_boundary_walk": 2, "compile_curves": 1}
 
     def test_band_compiles_once(self, capsys, monkeypatch):
-        # gamma_self_linking walks the surface but does not compile it
+        # a preset surface was checked at import, so no reader checks it;
+        # framing walks it and gamma_self_linking neither walks nor compiles
         calls = self.count_surface_reads(
             monkeypatch, capsys, "band", "--preset", "figure-eight"
         )
-        assert calls == {"validate_surface": 4, "boundary_walk": 4, "compile_curves": 1}
+        assert calls == {"_validate_surface": 0, "_boundary_walk": 1, "compile_curves": 1}
 
     def test_a_reused_slot_exits_1(self, capsys):
         # slot 0 is over in one crossing of K's core and under in the other
@@ -618,6 +618,50 @@ class TestMalformedSurface:
         for attach in ('[[0,"A"],[0,"B"]]', '[["band",0,"end","A"],[0,"B"]]'):
             code, data = call_json(capsys, "band", "--surface", _surface(attach))
             assert code == 0 and data["framing"] == 2
+
+
+class TestInvalidSurface:
+    """Data that reads but is no one-boundary surface is refused when the
+    surface is built, with the line the first surface reader printed
+    before: not as malformed JSON, and with each event placed in the
+    whole surface (J's band is band 1 of the Klein bottle)."""
+
+    UNBALANCED = '[[0,"A"],[1,"A"],[0,"B"],[1,"B"]]'
+    SEPARATED = '[[0,"A"],[0,"B"],[1,"A"],[1,"B"]]'
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["band", "--surface", f'{{"bands":[{{"half_twists":1}},{{"half_twists":0}}],'
+                 f'"attach":{UNBALANCED},"route":[]}}'],
+                "invalid surface: route crossings between bands 0 and 1 are unbalanced: "
+                "net 0 over-minus-under, expected -1; no classical surface realizes this",
+            ),
+            (
+                ["band", "--surface", f'{{"bands":[{{"half_twists":1}},{{"half_twists":0}}],'
+                 f'"attach":{SEPARATED},"route":[]}}'],
+                "multiple boundary components: boundary walk found 2",
+            ),
+            (
+                ["cable", "-p", "3", "--knot",
+                 '{"seifert":[[-1,1],[0,-1]],"core_route":[[0,1,1],[1,0,1]]}'],
+                "invalid surface: band 0 slot 1 used twice: as under in event 0 and as over "
+                "in event 1; band 0 slot 0 used twice: as over in event 0 and as under in event 1",
+            ),
+            (
+                ["klein", "--coreK", "[]", "--coreJ", "[[0,1,1],[1,0,1]]", "-p", "3"],
+                "invalid surface: band 1 slot 0 used twice: as under in event 0 and as over "
+                "in event 1; band 1 slot 1 used twice: as over in event 0 and as under in event 1",
+            ),
+        ],
+        ids=["band-unbalanced", "band-two-boundaries", "cable-reused-slot", "klein-J-reused-slot"],
+    )
+    def test_exit_1(self, capsys, argv, message):
+        code, out, err = call(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestMalformedRelations:
