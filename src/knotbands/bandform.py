@@ -16,8 +16,9 @@ Geometric conventions baked into the compiler:
   height z (0 for a core, +-1 for a pushoff), and back across the disk.
 - Band ends sit at 2n sites on a convex arc, at exact integer points
   P(k) = (k, k^2); curves through the disk run as straight chords, so two
-  chords cross iff their site pairs interleave, and crossing signs are
-  integer 2x2 determinants.
+  chords cross iff their site pairs interleave. The chords of bands with
+  sites (a, b) and (c, d), each run from B to A, cross with the sign of
+  det(P(a)-P(b), P(c)-P(d)) = (a-b)(c-d)(c+d-a-b) (``_chords``).
 - All half twists of a band live in a single twist box next to end A.
   Inside the box the carried strands braid: each half twist crosses every
   pair of strands once (positive twist: the lower strand goes over). The
@@ -96,7 +97,7 @@ class BandSurface(Record):
         problems = _validate_surface(self.half_twists, self.attach, self.route)
         if problems:
             raise ValueError("invalid surface: " + "; ".join(problems))
-        count = _boundary_walk(self.half_twists, self.attach)[1]
+        count = _boundary(self.half_twists, self.attach)[0]
         if count != 1:
             raise MultipleBoundaryError(
                 f"multiple boundary components: boundary walk found {count}"
@@ -247,46 +248,21 @@ def _end_positions(attach) -> tuple[dict[int, int], dict[int, int]]:
     return pos_a, pos_b
 
 
-def _point(k: int) -> tuple[int, int]:
-    return (k, k * k)
-
-
-def _det2(p: tuple[int, int], q: tuple[int, int]) -> int:
-    return p[0] * q[1] - p[1] * q[0]
-
-
-def _strictly_between(a: int, x: int, b: int, modulus: int) -> bool:
-    """Is x strictly inside the ccw arc from a to b (all mod modulus)?"""
-    if a == b:
-        return False
-    span = (b - a) % modulus
-    off = (x - a) % modulus
-    return 0 < off < span
-
-
-def _interleave_data(attach) -> dict[tuple[int, int], tuple[bool, int]]:
-    """For each band pair i<j of a well-formed attach order: (ends
-    interleave?, orientation sign of the two core chords). The sign is det
-    of the chord directions, each chord running from the band's B site
-    back to its A site."""
+def _chords(attach) -> dict[tuple[int, int], int]:
+    """(i, j) -> the sign of the disk crossing of the cores of bands i < j,
+    for the pairs whose ends interleave. Each core chord runs from the B
+    site to the A site; at P(k) = (k, k^2) the sign is that of
+    det(P(a)-P(b), P(c)-P(d)) = (a-b)(c-d)(c+d-a-b)."""
     pos_a, pos_b = _end_positions(attach)
-    m = len(attach)
-    out: dict[tuple[int, int], tuple[bool, int]] = {}
-    for i in range(m // 2):
-        for j in range(i + 1, m // 2):
-            ilv = (
-                _strictly_between(pos_b[i], pos_b[j], pos_a[i], m)
-                + _strictly_between(pos_b[i], pos_a[j], pos_a[i], m)
-            ) == 1
-            di = _sub(_point(pos_a[i]), _point(pos_b[i]))
-            dj = _sub(_point(pos_a[j]), _point(pos_b[j]))
-            d = _det2(di, dj)
-            out[(i, j)] = (ilv, (d > 0) - (d < 0))
+    out: dict[tuple[int, int], int] = {}
+    for i in range(len(attach) // 2):
+        a, b = pos_a[i], pos_b[i]
+        lo, hi = min(a, b), max(a, b)
+        for j in range(i + 1, len(attach) // 2):
+            c, d = pos_a[j], pos_b[j]
+            if (lo < c < hi) != (lo < d < hi):
+                out[i, j] = 1 if (a - b) * (c - d) * (c + d - a - b) > 0 else -1
     return out
-
-
-def _sub(p, q):
-    return (p[0] - q[0], p[1] - q[1])
 
 
 def _validate_surface(half_twists, attach, route) -> list[str]:
@@ -340,71 +316,56 @@ def _validate_surface(half_twists, attach, route) -> list[str]:
         if i != j:
             key = (min(i, j), max(i, j))
             sums[key] = sums.get(key, 0) + (ev.sign if i < j else -ev.sign)
-    for (i, j), (ilv, dsign) in _interleave_data(attach).items():
-        expected = -dsign if ilv else 0
-        if sums.get((i, j), 0) != expected:
-            problems.append(
-                f"route crossings between bands {i} and {j} are unbalanced: "
-                f"net {sums.get((i, j), 0)} over-minus-under, expected {expected}; "
-                "no classical surface realizes this"
-            )
+    chords = _chords(attach)
+    for i in range(n):
+        for j in range(i + 1, n):
+            net, expected = sums.get((i, j), 0), -chords.get((i, j), 0)
+            if net != expected:
+                problems.append(
+                    f"route crossings between bands {i} and {j} are unbalanced: "
+                    f"net {net} over-minus-under, expected {expected}; "
+                    "no classical surface realizes this"
+                )
     return problems
 
 
-def _boundary_walk(half_twists, attach):
-    """Closed walks of the boundary of the surface with these half twists
-    and this well-formed attach order, and their count.
+def _boundary(half_twists, attach) -> tuple[int, list[int]]:
+    """The number of boundary circles of the surface with these half
+    twists and this well-formed attach order, and c, K's class in H_1(F)
+    as sum c_i*core_i.
 
-    Each walk is a tuple of steps: ("band", band, edge, dir) for a traversal
-    of one band edge (edge 0/1; dir +1 means A toward B) or ("arc", k) for
-    the disk arc following attach position k.
+    The corners are (site, +-1). The disk arc after site k joins (k, +1)
+    to (k+1, -1); band i's edges join (b_i, s) to (a_i, -s*flip), flip -1
+    for an odd twist count. c_i sums +1 (-1) for each edge of band i that
+    the first circle enters at its A (B) end.
     """
     n = len(half_twists)
     if n == 0:
-        return ((),), 1
+        return 1, []
     pos_a, pos_b = _end_positions(attach)
     m = 2 * n
-    # corners (position, +1|-1); every corner meets one arc and one band edge
-    arc_of: dict[tuple[int, int], tuple] = {}
-    band_of: dict[tuple[int, int], tuple] = {}
-    for k in range(m):
-        arc_of[(k, 1)] = ("arc", k, (k, 1), ((k + 1) % m, -1))
-        arc_of[((k + 1) % m, -1)] = ("arc", k, (k, 1), ((k + 1) % m, -1))
+    # corner -> (band, corner at the edge's other end, +1 if it enters at A)
+    edge: dict[tuple[int, int], tuple[int, tuple[int, int], int]] = {}
     for i in range(n):
-        a, b, h = pos_a[i], pos_b[i], half_twists[i]
-        flip = -1 if h % 2 else 1
-        # edge 0 leaves end B at its -1 corner; an odd twist box swaps
-        # which corner of end A it reaches
-        e0 = ("band", i, 0, (a, flip), (b, -1))
-        e1 = ("band", i, 1, (a, -flip), (b, 1))
-        for e in (e0, e1):
-            band_of[e[3]] = e
-            band_of[e[4]] = e
-    walks = []
-    used = set()
-    for start_corner in sorted(arc_of):
-        if start_corner in used:
+        a, b = pos_a[i], pos_b[i]
+        flip = -1 if half_twists[i] % 2 else 1
+        for s in (1, -1):
+            edge[b, s] = (i, (a, -s * flip), -1)
+            edge[a, -s * flip] = (i, (b, s), 1)
+    circles, c, seen = 0, [0] * n, set()
+    for start in ((k, s) for k in range(m) for s in (-1, 1)):
+        if start in seen:
             continue
-        steps = []
-        corner = start_corner
-        use_arc = True
-        while True:
-            used.add(corner)
-            edge = arc_of[corner] if use_arc else band_of[corner]
-            x, y = edge[-2], edge[-1]
-            nxt = y if corner == x else x
-            if edge[0] == "arc":
-                steps.append(("arc", edge[1]))
-            else:
-                i = edge[1]
-                direction = 1 if corner[0] == pos_a[i] else -1
-                steps.append(("band", i, edge[2], direction))
-            corner = nxt
-            use_arc = not use_arc
-            if corner == start_corner and use_arc:
-                break
-        walks.append(tuple(steps))
-    return tuple(walks), len(walks)
+        circles += 1
+        corner = start
+        while corner not in seen:
+            k, s = corner
+            arc_end = ((k + 1) % m, -1) if s == 1 else ((k - 1) % m, 1)
+            seen.update((corner, arc_end))
+            i, corner, direction = edge[arc_end]
+            if circles == 1:
+                c[i] += direction
+    return circles, c
 
 
 # ---------------------------------------------------------------------------
@@ -544,14 +505,12 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
 
     # disk chords: two bands' chords cross once iff their ends interleave;
     # higher chord over, ties to the lower band index
-    chords = _interleave_data(F.attach)
+    chords = _chords(F.attach)
     for a in range(len(strands)):
         for b in range(a + 1, len(strands)):
             s1, s2 = strands[a], strands[b]
-            if s1.band == s2.band:
-                continue
-            ilv, dsign = chords[min(s1.band, s2.band), max(s1.band, s2.band)]
-            if not ilv:
+            dsign = chords.get((min(s1.band, s2.band), max(s1.band, s2.band)))
+            if dsign is None:
                 continue
             if (s1.z, -s1.band) > (s2.z, -s2.band):
                 over, under = s1, s2
@@ -599,17 +558,12 @@ def framing(F: BandSurface) -> int:
     """lk of the boundary knot K with its pushoff along the surface; even.
 
     K runs once along each edge of every band, so its class in H_1(F) is
-    sum c_i*core_i, where c_i is the sum of the boundary walk's directions
-    on band i's two edges (0 or +-2), and the framing is ½·G(c, c)
-    (Gordon-Litherland). Each c_i^2 is 0 or 4, so sum c_i^2*h_i is even.
-    On an orientable surface every c_i is 0.
+    sum c_i*core_i, where c_i sums +-1 over band i's two edges, +1 where
+    K enters the edge at its A end (so c_i is 0 or +-2; ``_boundary``),
+    and the framing is ½·G(c, c) (Gordon-Litherland). Each c_i^2 is 0 or
+    4, so sum c_i^2*h_i is even. On an orientable surface every c_i is 0.
     """
-    c = [0] * F.n_bands
-    walks, _ = _boundary_walk(F.half_twists, F.attach)
-    for step in walks[0]:
-        if step[0] == "band":
-            c[step[1]] += step[3]
-    return _half_pairing(F, c)
+    return _half_pairing(F, _boundary(F.half_twists, F.attach)[1])
 
 
 def gl_form(F: BandSurface) -> tuple[tuple[int, ...], ...]:

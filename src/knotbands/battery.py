@@ -10,6 +10,7 @@ and the screens do not load it (or ``random``).
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 
 from .algebra import (
     LaurentPoly,
@@ -23,8 +24,8 @@ from .algebra import (
 from .bandform import (
     BandSurface,
     RouteEvent,
-    _boundary_walk,
-    _interleave_data,
+    _boundary,
+    _chords,
     analyze_surface,
     boundary_connect_sum,
     core_route,
@@ -105,6 +106,25 @@ _MAX_TWIST = 5
 _MAX_PIECES = 3
 
 
+def _balancing_events(rng: random.Random, chords: dict) -> tuple[list[tuple], Callable]:
+    """One route event per interleaved band pair, cancelling its disk
+    crossing, with one draw choosing the over band; and ``slot(b)``, which
+    hands out band b's next slot, to route further events with."""
+    counters: dict[int, int] = {}
+
+    def slot(b: int) -> int:
+        counters[b] = counters.get(b, -1) + 1
+        return counters[b]
+
+    events = []
+    for (i, j), d in chords.items():
+        if rng.random() < 0.5:
+            events.append(((i, slot(i)), (j, slot(j)), -d))
+        else:
+            events.append(((j, slot(j)), (i, slot(i)), d))
+    return events, slot
+
+
 def random_band_surface(
     rng: random.Random,
     max_bands: int = 6,
@@ -126,23 +146,12 @@ def random_band_surface(
                 twists[k] += 1 if twists[k] < _MAX_TWIST else -1
         tokens = [(i, e) for i in range(n) for e in ("A", "B")]
         rng.shuffle(tokens)
-        if _boundary_walk(twists, tokens)[1] != 1:
+        if _boundary(twists, tokens)[0] != 1:
             continue
-        mandatory = [(pair, d) for pair, (ilv, d) in _interleave_data(tokens).items() if ilv]
-        if len(mandatory) > max_events:
+        chords = _chords(tokens)
+        if len(chords) > max_events:
             continue
-        events: list[tuple] = []
-        counters: dict[int, int] = {}
-
-        def slot(b: int) -> int:
-            counters[b] = counters.get(b, -1) + 1
-            return counters[b]
-
-        for (i, j), d in mandatory:
-            if rng.random() < 0.5:
-                events.append(((i, slot(i)), (j, slot(j)), -d))
-            else:
-                events.append(((j, slot(j)), (i, slot(i)), d))
+        events, slot = _balancing_events(rng, chords)
         budget = max_events - len(events)
         while budget > 0 and rng.random() < 0.6:
             roll = rng.random()
@@ -189,20 +198,7 @@ def random_normal_form(
             even_bands.append(x)
         attach += [(x, "A"), (y, "A"), (x, "B"), (y, "B")]
 
-    counters: dict[int, int] = {}
-
-    def slot(b: int) -> int:
-        counters[b] = counters.get(b, -1) + 1
-        return counters[b]
-
-    events: list[tuple] = []
-    for (i, j), (ilv, d) in _interleave_data(attach).items():
-        if not ilv:
-            continue
-        if rng.random() < 0.5:
-            events.append(((i, slot(i)), (j, slot(j)), -d))
-        else:
-            events.append(((j, slot(j)), (i, slot(i)), d))
+    events, slot = _balancing_events(rng, _chords(attach))
     n = 2 * k
     extras = rng.randint(0, 3)
     for _ in range(extras):

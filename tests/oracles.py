@@ -32,6 +32,11 @@ matrix, for metamorphic tests of the curve compiler.
 surface data before the ``BandSurface`` constructor checked it: the
 structural problems, then the number of boundary circles, counted by
 merging the corners that arcs and band edges join.
+``boundary_walk`` is the step-by-step boundary walk the library took
+before ``_boundary`` kept only the circle count and K's class;
+``boundary_class`` reads that class off its first walk, the reference
+for ``_boundary``'s c, as ``_crossing_chords`` (the chord signs as 2x2
+determinants) is for ``_chords`` and ``_boundary_circles`` for the count.
 """
 
 from __future__ import annotations
@@ -550,6 +555,74 @@ def _boundary_circles(half_twists, attach) -> int:
         join((a, flip), (b, -1))
         join((a, -flip), (b, 1))
     return len({root(c) for c in parent})
+
+
+def boundary_walk(half_twists, attach):
+    """Closed walks of the boundary of the surface with these half twists
+    and this well-formed attach order, and their count; each walk starts
+    at the first corner not yet walked, in the order (0, -1), (0, +1),
+    (1, -1), ..., and leaves it along the disk arc.
+
+    Each walk is a tuple of steps: ("band", band, edge, dir) for a traversal
+    of one band edge (edge 0/1; dir +1 means A toward B) or ("arc", k) for
+    the disk arc following attach position k.
+    """
+    n = len(half_twists)
+    if n == 0:
+        return ((),), 1
+    site = {(i, e): k for k, (i, e) in enumerate(attach)}
+    m = 2 * n
+    # corners (position, +1|-1); every corner meets one arc and one band edge
+    arc_of: dict[tuple[int, int], tuple] = {}
+    band_of: dict[tuple[int, int], tuple] = {}
+    for k in range(m):
+        arc_of[(k, 1)] = ("arc", k, (k, 1), ((k + 1) % m, -1))
+        arc_of[((k + 1) % m, -1)] = ("arc", k, (k, 1), ((k + 1) % m, -1))
+    for i in range(n):
+        a, b, h = site[i, "A"], site[i, "B"], half_twists[i]
+        flip = -1 if h % 2 else 1
+        # edge 0 leaves end B at its -1 corner; an odd twist box swaps
+        # which corner of end A it reaches
+        e0 = ("band", i, 0, (a, flip), (b, -1))
+        e1 = ("band", i, 1, (a, -flip), (b, 1))
+        for e in (e0, e1):
+            band_of[e[3]] = e
+            band_of[e[4]] = e
+    walks = []
+    used = set()
+    for start_corner in sorted(arc_of):
+        if start_corner in used:
+            continue
+        steps = []
+        corner = start_corner
+        use_arc = True
+        while True:
+            used.add(corner)
+            edge = arc_of[corner] if use_arc else band_of[corner]
+            x, y = edge[-2], edge[-1]
+            nxt = y if corner == x else x
+            if edge[0] == "arc":
+                steps.append(("arc", edge[1]))
+            else:
+                i = edge[1]
+                direction = 1 if corner[0] == site[i, "A"] else -1
+                steps.append(("band", i, edge[2], direction))
+            corner = nxt
+            use_arc = not use_arc
+            if corner == start_corner and use_arc:
+                break
+        walks.append(tuple(steps))
+    return tuple(walks), len(walks)
+
+
+def boundary_class(half_twists, attach) -> list[int]:
+    """K's class in H_1(F) as sum c_i*core_i, read off the first walk of
+    ``boundary_walk``: c_i sums the directions of its steps on band i."""
+    c = [0] * len(half_twists)
+    for step in boundary_walk(half_twists, attach)[0][0]:
+        if step[0] == "band":
+            c[step[1]] += step[3]
+    return c
 
 
 def surface_problems(half_twists, attach, route):

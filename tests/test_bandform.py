@@ -14,8 +14,8 @@ from knotbands.bandform import (
     NotOrientableError,
     RouteEvent,
     SurfaceAnalysis,
-    _boundary_walk,
-    _interleave_data,
+    _boundary,
+    _chords,
     _validate_surface,
     analyze_surface,
     boundary_connect_sum,
@@ -118,36 +118,69 @@ BAD_SURFACES = [
 
 class TestBoundaryWalk:
     def test_disk(self):
-        assert _boundary_walk((), ()) == (((),), 1)
+        assert _boundary((), ()) == (1, [])
 
     def test_mobius_single_boundary(self):
-        walks, count = _boundary_walk((1,), ENDS)
-        assert count == 1
-        steps = walks[0]
+        # K runs along both edges of the band, entering both at its B end
+        assert _boundary((1,), ENDS) == (1, [-2])
+        steps = oracles.boundary_walk((1,), ENDS)[0][0]
         assert len(steps) == 4  # two arcs, two passes over the band
         assert {s[0] for s in steps} == {"arc", "band"}
 
     def test_annulus_two_boundaries(self):
-        _, count = _boundary_walk((0,), ENDS)
-        assert count == 2
-        _, count = _boundary_walk((2,), ENDS)
-        assert count == 2
+        assert _boundary((0,), ENDS)[0] == 2
+        assert _boundary((2,), ENDS)[0] == 2
 
     def test_separated_bands_two_boundaries(self):
-        _, count = _boundary_walk((1, 0), SEPARATED)
-        assert count == 2
+        assert _boundary((1, 0), SEPARATED)[0] == 2
 
     def test_interleaved_bands_single_boundary(self):
-        _, count = _boundary_walk((1, 0), INTERLEAVED)
-        assert count == 1
+        assert _boundary((1, 0), INTERLEAVED)[0] == 1
 
     def test_alternates_arcs_and_bands(self):
+        # the reference walk behind _boundary's c steps from arc to band edge
         for F in (mobius(3), klein_piece(), get_preset("t25").orientable_surface):
-            walks, _ = _boundary_walk(F.half_twists, F.attach)
+            walks, _ = oracles.boundary_walk(F.half_twists, F.attach)
             for w in walks:
                 kinds = [s[0] for s in w]
                 for a, b in zip(kinds, kinds[1:] + kinds[:1]):
                     assert {a, b} == {"arc", "band"}
+
+
+def disk_cases():
+    """(half twists, attach) of seeded raw attach orders with 0-10 bands,
+    many with more than one boundary circle, then of random band surfaces
+    of both orientabilities and of random normal forms."""
+    rng = random.Random(2027)
+    for _ in range(600):
+        n = rng.randint(0, 10)
+        attach = [(i, e) for i in range(n) for e in "AB"]
+        rng.shuffle(attach)
+        yield [rng.randint(-5, 5) for _ in range(n)], attach
+    for k in range(200):
+        F = random_band_surface(rng, max_bands=10, max_events=40, orientable=k % 2 == 0)
+        yield F.half_twists, F.attach
+    for _ in range(100):
+        F = random_normal_form(rng)
+        yield F.half_twists, F.attach
+
+
+class TestDiskCombinatorics:
+    def test_closed_forms_match_the_oracles(self):
+        # chord signs as 2x2 determinants, circles by merging corners, and
+        # K's class read off the step-by-step walk (up to K's orientation)
+        circle_counts, chord_signs = Counter(), Counter()
+        for twists, attach in disk_cases():
+            chords = _chords(attach)
+            assert chords == oracles._crossing_chords(attach), attach
+            circles, c = _boundary(twists, attach)
+            assert circles == oracles._boundary_circles(twists, attach), (twists, attach)
+            ref = oracles.boundary_class(twists, attach)
+            assert c in (ref, [-x for x in ref]), (twists, attach)
+            circle_counts[min(circles, 3)] += 1
+            chord_signs.update(chords.values())
+        assert min(circle_counts[1], circle_counts[2], circle_counts[3]) >= 20
+        assert min(chord_signs[1], chord_signs[-1]) >= 100
 
 
 class TestShape:
@@ -230,9 +263,10 @@ class TestValidate:
         # and a canceling pair keeps a separated pair balanced
         assert self.problems([1, 0], SEPARATED, [((0, 0), (1, 0), 1), ((0, 1), (1, 1), -1)]) == []
 
-    def test_interleave_data(self):
-        assert _interleave_data(INTERLEAVED)[(0, 1)][0] is True
-        assert _interleave_data(SEPARATED)[(0, 1)][0] is False
+    def test_chords(self):
+        # sites A0=0, B0=2 and A1=1, B1=3: (0-2)(1-3)(1+3-0-2) > 0
+        assert _chords(INTERLEAVED) == {(0, 1): 1}
+        assert _chords(SEPARATED) == {}
 
 
 class TestRecordsCheckThemselves:
@@ -434,11 +468,7 @@ class TestCompile:
         # K's class is sum c_i*core_i, J's the sum of the even bands' cores
         for label, F, normal in compiler_cases():
             G = gl_form(F)
-            walks, _ = _boundary_walk(F.half_twists, F.attach)
-            c = [0] * F.n_bands
-            for step in walks[0]:
-                if step[0] == "band":
-                    c[step[1]] += step[3]
+            c = oracles.boundary_class(F.half_twists, F.attach)
             assert framing(F) == _half_form(G, c), label
             if normal:
                 evens = [1 - h % 2 for h in F.half_twists]

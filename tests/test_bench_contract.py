@@ -7,7 +7,9 @@ functions of every layer; its ``bandform.compile_curves.crossings``
 counter reads ``compile_curves(...).diagram.crossings``.
 ``bench/worker.py`` checks every item's output against the workload's
 integer identities and, on seed 0, against the digests in
-``bench/recorded.json``. A library change that breaks any of these shows
+``bench/recorded.json``. Building a surface, which the ``surfaces``
+workload does in its untimed prepare step, calls no function the tracer
+wraps. A library change that breaks any of these shows
 up here, in the tier-1 suite, and not only when the benchmark runs. The
 tests only read ``bench/``.
 """
@@ -70,3 +72,19 @@ def test_one_round_matches_recorded_outputs(name, round_size):
     result = worker.run_workload(name, seed=0, seconds=0, trace=False, items=round_size)
     assert result["attempted"] == round_size
     assert result["failed"] == 0, result["problems"]
+
+
+def test_building_a_surface_calls_no_traced_function():
+    # the tracer wraps every public function of the layer modules, and the
+    # workload builds its surfaces (BandSurface.from_json) in the untimed
+    # prepare step, outside any item; a traced call there is counted
+    # against no item
+    worker = _load_worker()
+    workload = worker.WORKLOADS["surfaces"]
+    rounds = worker.Rounds(workload, 0)
+    inputs = [rounds[i] for i in range(rounds.size)]
+    tracer = _load("bench_tracing", TRACING).Tracer()
+    with tracer.active():
+        for inp in inputs:
+            workload.prepare(inp)
+    assert [tracer.names[span[0]] for span in tracer.spans] == []

@@ -171,7 +171,7 @@ class TestKlein:
 
     @staticmethod
     def count_surface_reads(monkeypatch, capsys, *argv):
-        calls = {"_validate_surface": 0, "_boundary_walk": 0, "compile_curves": 0}
+        calls = {"_validate_surface": 0, "_boundary": 0, "compile_curves": 0}
         for name in calls:
             original = getattr(bandform, name)
 
@@ -190,7 +190,7 @@ class TestKlein:
         calls = self.count_surface_reads(
             monkeypatch, capsys, "klein", "--presetK", "trefoil", "--presetJ", "t25", "-p", "3"
         )
-        assert calls == {"_validate_surface": 1, "_boundary_walk": 2, "compile_curves": 1}
+        assert calls == {"_validate_surface": 1, "_boundary": 2, "compile_curves": 1}
 
     def test_band_compiles_once(self, capsys, monkeypatch):
         # a preset surface was checked at import, so no reader checks it;
@@ -198,7 +198,7 @@ class TestKlein:
         calls = self.count_surface_reads(
             monkeypatch, capsys, "band", "--preset", "figure-eight"
         )
-        assert calls == {"_validate_surface": 0, "_boundary_walk": 1, "compile_curves": 1}
+        assert calls == {"_validate_surface": 0, "_boundary": 1, "compile_curves": 1}
 
     def test_a_reused_slot_exits_1(self, capsys):
         # slot 0 is over in one crossing of K's core and under in the other
