@@ -26,8 +26,10 @@ Geometric conventions baked into the compiler:
   listed, so the cost of a box does not grow with |h|.
 - At a band-over-band event, every strand of the over band crosses every
   strand of the under band once, with the event's sign.
-- Where two curves cross on the disk itself, the higher one goes over; at
-  equal height the lower band index wins.
+- On the disk, the chords of bands i < j cross once for each pair of
+  their strands, exactly for the interleaved pairs that ``_chords`` lists
+  with their sign d. Band i's strand at height z_i goes over with sign d
+  when z_i >= z_j; otherwise band j's goes over with sign -d.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .diagram import Crossing, CrossingList, classical_linking, over_counts
-from .record import Record, known_keys
+from .record import Record, known_keys, odd_p
 
 
 class MultipleBoundaryError(ValueError):
@@ -372,19 +374,6 @@ def _boundary(half_twists, attach) -> tuple[int, list[int]]:
 # the curve compiler
 
 
-class _Strand:
-    """One parallel of component comp running the middle of a band from
-    end A to end B at height z, and back across the disk as the chord from
-    the band's B site to its A site."""
-
-    __slots__ = ("band", "z", "comp")
-
-    def __init__(self, band: int, z: int, comp: int):
-        self.band = band
-        self.z = z
-        self.comp = comp
-
-
 class CompiledCurves(Record):
     """The requested curves as signed crossings between components at the
     route events and on the disk, plus the twist-box crossings as counts.
@@ -447,7 +436,8 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate curve request")
 
-    strands: list[_Strand] = []
+    # band -> its strands as (height, component), in request order
+    stacks: dict[int, list[tuple[int, int]]] = {}
     comp_map: dict = {}
     n_comp = 0
 
@@ -461,7 +451,7 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
         if isinstance(key, tuple) and len(key) == 2 and key[0] == "core":
             i = key[1]
             check_band(i)
-            strands.append(_Strand(i, 0, c))
+            strands = [(0, c)]
         elif isinstance(key, tuple) and len(key) == 3 and key[0] == "pushoff":
             i, side = key[1], key[2]
             check_band(i)
@@ -472,7 +462,7 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
                     f"pushoff of band {i} does not close up: odd twist count; "
                     "request the double pushoff ('tau', i) instead"
                 )
-            strands.append(_Strand(i, side, c))
+            strands = [(side, c)]
         elif isinstance(key, tuple) and len(key) == 2 and key[0] == "tau":
             i = key[1]
             check_band(i)
@@ -480,49 +470,39 @@ def compile_curves(F: BandSurface, curves: Sequence) -> CompiledCurves:
             # the two close up as one component
             if F.half_twists[i] % 2 == 0:
                 comps = (c, c + 1)
-            strands.append(_Strand(i, 1, c))
-            strands.append(_Strand(i, -1, comps[-1]))
+            strands = [(1, c), (-1, comps[-1])]
         else:
             raise ValueError(f"unknown curve request {key!r}")
+        stacks.setdefault(i, []).extend(strands)
         comp_map[key] = comps
         n_comp += len(comps)
 
-    # bottom-to-top order of the strands on each band; the sort is stable,
-    # so strands at the same height keep their request order
-    geo: dict[int, list[_Strand]] = {}
-    for s in strands:
-        geo.setdefault(s.band, []).append(s)
-    for group in geo.values():
-        group.sort(key=lambda s: s.z)
+    # bottom to top; components grow in request order and no band holds
+    # one component twice at one height, so this is the stable sort by height
+    for stack in stacks.values():
+        stack.sort()
 
     # route events: every strand of the over band crosses every strand of
     # the under band; a self event crosses the band's strands with themselves
     crossings: list[Crossing] = []
     for ev in F.route:
-        under_strands = geo.get(ev.under[0], ())
-        for x in geo.get(ev.over[0], ()):
-            crossings.extend(Crossing(ev.sign, x.comp, y.comp) for y in under_strands)
+        under = stacks.get(ev.under[0], ())
+        for _, x in stacks.get(ev.over[0], ()):
+            crossings.extend(Crossing(ev.sign, x, y) for _, y in under)
 
-    # disk chords: two bands' chords cross once iff their ends interleave;
-    # higher chord over, ties to the lower band index
-    chords = _chords(F.attach)
-    for a in range(len(strands)):
-        for b in range(a + 1, len(strands)):
-            s1, s2 = strands[a], strands[b]
-            dsign = chords.get((min(s1.band, s2.band), max(s1.band, s2.band)))
-            if dsign is None:
-                continue
-            if (s1.z, -s1.band) > (s2.z, -s2.band):
-                over, under = s1, s2
-            else:
-                over, under = s2, s1
-            sign = dsign if over.band < under.band else -dsign
-            crossings.append(Crossing(sign, over.comp, under.comp))
+    # disk chords: for bands i < j that interleave, each strand of band i
+    # crosses each of band j once; band i's goes over, with the chord sign
+    # d, unless band j's is higher, which goes over with -d
+    for (i, j), d in _chords(F.attach).items():
+        stack_j = stacks.get(j, ())
+        for zi, x in stacks.get(i, ()):
+            for zj, y in stack_j:
+                crossings.append(Crossing(d, x, y) if zi >= zj else Crossing(-d, y, x))
 
     boxes: dict[tuple[int, int], int] = {}
-    for i, group in geo.items():
-        for (a, b), count in twist_box_counts(len(group), F.half_twists[i]).items():
-            key = (group[a].comp, group[b].comp)
+    for i, stack in stacks.items():
+        for (a, b), count in twist_box_counts(len(stack), F.half_twists[i]).items():
+            key = (stack[a][1], stack[b][1])
             boxes[key] = boxes.get(key, 0) + count
     return CompiledCurves(CrossingList(n_comp, tuple(crossings)), comp_map, boxes)
 
@@ -720,8 +700,7 @@ def surgery_shape(s: SurfaceShape, result_orientable: bool) -> SurfaceShape:
 
 def _mobius(core, p: int) -> tuple:
     """(half_twists, attach, route) of the band of ``mobius_band``."""
-    if _int(p, "p") % 2 == 0:
-        raise ValueError("p must be odd")
+    odd_p(p)
     events = core_route(core)
     w = sum(ev.sign for ev in events)
     return (p - 2 * w,), _ENDS, events

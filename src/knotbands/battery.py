@@ -61,20 +61,18 @@ from .record import Record
 # seeded generators
 
 
-_CORE_FACTORS: tuple[tuple[tuple[int, int, int], ...], ...] = (
-    (),
-    ((0, 3, 1), (4, 1, 1), (2, 5, 1)),  # (2,3) torus knot
-    ((0, 5, 1), (6, 1, 1), (2, 7, 1), (8, 3, 1), (4, 9, 1)),  # (2,5) torus knot
-    ((0, 1, 1),),  # positive kink
-    ((0, 1, -1),),  # negative kink
-)
+def _preset_factor(name: str) -> tuple:
+    pk = get_preset(name)
+    return pk.core_route, alexander(pk.seifert)
 
-_CORE_DELTAS = (
-    LaurentPoly.one(),
-    LaurentPoly({-1: 1, 0: -1, 1: 1}),
-    LaurentPoly({-2: 1, -1: -1, 0: 1, 1: -1, 2: 1}),
-    LaurentPoly.one(),
-    LaurentPoly.one(),
+
+# (knot route, its Alexander polynomial)
+_CORE_FACTORS = (
+    ((), LaurentPoly.one()),
+    _preset_factor("trefoil"),
+    _preset_factor("t25"),
+    (core_route([(0, 1, 1)]), LaurentPoly.one()),  # positive kink
+    (core_route([(0, 1, -1)]), LaurentPoly.one()),  # negative kink
 )
 
 
@@ -85,8 +83,7 @@ def random_core(rng: random.Random):
     delta = LaurentPoly.one()
     offset = 0
     for _ in range(rng.randint(0, 2)):
-        idx = rng.randrange(len(_CORE_FACTORS))
-        factor = core_route(_CORE_FACTORS[idx])
+        factor, factor_delta = _CORE_FACTORS[rng.randrange(len(_CORE_FACTORS))]
         if rng.random() < 0.5:
             factor = mirror_core(factor)
         for ev in factor:
@@ -96,7 +93,7 @@ def random_core(rng: random.Random):
                 )
             )
         offset += 2 * len(factor)
-        delta = delta * _CORE_DELTAS[idx]
+        delta = delta * factor_delta
     return tuple(route), delta
 
 
@@ -123,6 +120,20 @@ def _balancing_events(rng: random.Random, chords: dict) -> tuple[list[tuple], Ca
         else:
             events.append(((j, slot(j)), (i, slot(i)), d))
     return events, slot
+
+
+def _extra_events(rng: random.Random, n: int, slot: Callable, kind: str) -> list[tuple]:
+    """The events of one extra draw on n bands: a cancelling "pair" (i over
+    j twice, opposite signs), a "clasp" (i over j, then j over i, one sign)
+    or a "self" event of one band."""
+    if kind == "self":
+        i = rng.randrange(n)
+        return [((i, slot(i)), (i, slot(i)), rng.choice((1, -1)))]
+    i, j = rng.sample(range(n), 2)
+    s = rng.choice((1, -1))
+    if kind == "clasp":
+        return [((i, slot(i)), (j, slot(j)), s), ((j, slot(j)), (i, slot(i)), s)]
+    return [((i, slot(i)), (j, slot(j)), s), ((i, slot(i)), (j, slot(j)), -s)]
 
 
 def random_band_surface(
@@ -155,22 +166,13 @@ def random_band_surface(
         budget = max_events - len(events)
         while budget > 0 and rng.random() < 0.6:
             roll = rng.random()
-            if roll < 0.4 and n >= 2 and budget >= 2:
-                i, j = rng.sample(range(n), 2)
-                s = rng.choice((1, -1))
-                events.append(((i, slot(i)), (j, slot(j)), s))
-                events.append(((i, slot(i)), (j, slot(j)), -s))
-                budget -= 2
-            elif roll < 0.7 and n >= 2 and budget >= 2:
-                i, j = rng.sample(range(n), 2)
-                s = rng.choice((1, -1))
-                events.append(((i, slot(i)), (j, slot(j)), s))
-                events.append(((j, slot(j)), (i, slot(i)), s))
-                budget -= 2
+            if roll < 0.7 and n >= 2 and budget >= 2:
+                kind = "pair" if roll < 0.4 else "clasp"
             else:
-                i = rng.randrange(n)
-                events.append(((i, slot(i)), (i, slot(i)), rng.choice((1, -1))))
-                budget -= 1
+                kind = "self"
+            extra = _extra_events(rng, n, slot, kind)
+            events += extra
+            budget -= len(extra)
         return BandSurface.build(twists, tokens, events)
 
 
@@ -200,22 +202,10 @@ def random_normal_form(
 
     events, slot = _balancing_events(rng, _chords(attach))
     n = 2 * k
-    extras = rng.randint(0, 3)
-    for _ in range(extras):
+    for _ in range(rng.randint(0, 3)):
         roll = rng.random()
-        if roll < 0.4 and k >= 2:
-            i, j = rng.sample(range(n), 2)
-            s = rng.choice((1, -1))
-            events.append(((i, slot(i)), (j, slot(j)), s))
-            events.append(((j, slot(j)), (i, slot(i)), s))
-        elif roll < 0.7:
-            i, j = rng.sample(range(n), 2) if n >= 2 else (0, 0)
-            s = rng.choice((1, -1))
-            events.append(((i, slot(i)), (j, slot(j)), s))
-            events.append(((i, slot(i)), (j, slot(j)), -s))
-        else:
-            i = rng.randrange(n)
-            events.append(((i, slot(i)), (i, slot(i)), rng.choice((1, -1))))
+        kind = "clasp" if roll < 0.4 and k >= 2 else "pair" if roll < 0.7 else "self"
+        events += _extra_events(rng, n, slot, kind)
     F = BandSurface.build(twists, attach, events)
     if force_zero_framing:
         f = framing(F)
@@ -332,7 +322,7 @@ def _prop_framing_fixtures(t: _Tally, rng: random.Random, trials: int) -> None:
         t.check(framing(mobius_band((), p)) == 2 * p, f"Möbius h={p}")
     for p in (-5, -3, -1, 1, 3, 5):
         t.check(
-            framing(mobius_band(_CORE_FACTORS[1], p)) == 2 * p,
+            framing(mobius_band(get_preset("trefoil").core_route, p)) == 2 * p,
             f"trefoil-core Möbius h={p}",
         )
     for _ in range(min(trials, 25)):

@@ -20,7 +20,7 @@ from .algebra import (
     int_matrix,
     signature_exact,
 )
-from .record import Record, known_keys
+from .record import Record, known_keys, odd_p
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -245,11 +245,7 @@ def alexander_satellite(delta_r: LaurentPoly, delta_j: LaurentPoly) -> LaurentPo
 
 def torus2_alexander(p: int) -> LaurentPoly:
     """Alexander polynomial of the (2,p) torus knot, p odd."""
-    if type(p) is not int:
-        raise ValueError(f"p must be an integer, got {p!r}")
-    if p % 2 == 0:
-        raise ValueError("p must be odd")
-    m = (abs(p) - 1) // 2
+    m = (abs(odd_p(p)) - 1) // 2
     return LaurentPoly({k - m: 1 if k % 2 == 0 else -1 for k in range(abs(p))})
 
 

@@ -18,7 +18,7 @@ from .invariants import (
     alexander_cable2,
     levine_tristram,
 )
-from .record import Record
+from .record import Record, odd_p
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +113,7 @@ def cable_concordance_check(
     DEFAULT_SAMPLES are roots of an integer polynomial f with f(1) = +-2^k,
     where the known proof that a signature is invariant under such a
     concordance does not reach (Nagel-Powell, IMRN 2017)."""
-    if type(p) is not int:
-        raise ValueError(f"p must be an integer, got {p!r}")
-    if p % 2 == 0:
-        raise ValueError("p must be odd")
+    odd_p(p)
     # alexander rejects every matrix with |Delta(1)| != 1, and then no
     # sample is a root of Delta: Delta(-1) = 0 would make Delta(1) even,
     # and any other sample (a + ib)/c in lowest terms has the primitive

@@ -5,7 +5,8 @@ constructor order, in ``__slots__``. It is built positionally or by
 keyword, checks itself in ``__post_init__``, refuses assignment, compares
 and hashes by its field values (never equal to a record of another
 class), and prints as ``Name(field=value, ...)``. ``known_keys`` checks
-a JSON object that a record is read from.
+a JSON object that a record is read from, and ``odd_p`` the odd p of a
+(2, p) cable or torus knot.
 """
 
 from __future__ import annotations
@@ -22,6 +23,16 @@ def known_keys(obj, keys: tuple[str, ...], what: str) -> None:
             *rest, last = (f'"{k}"' for k in keys)
             expected = f"{', '.join(rest)} and {last}" if rest else last
             raise ValueError(f"{what} has an unknown key {key!r}; expected {expected}")
+
+
+def odd_p(p) -> int:
+    """p itself if it is an odd int; a float or bool is rejected, not
+    truncated."""
+    if type(p) is not int:
+        raise ValueError(f"p must be an integer, got {p!r}")
+    if p % 2 == 0:
+        raise ValueError("p must be odd")
+    return p
 
 
 class Record:

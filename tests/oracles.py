@@ -23,7 +23,10 @@ reference for ``smith_normal_form``, which reduces modulo a minor.
 Results are handed back as a ``LaurentPoly`` only to be compared with
 the library's.
 ``validate_diagram`` checks that the signed crossings between components
-the curve compiler emits have signs +-1 and name components that exist.
+the curve compiler emits have signs +-1 and name components that exist;
+``curve_crossings`` lists those crossings by crossing every pair of
+strands, the loop the compiler ran before it crossed only the stacks of
+the interleaved band pairs.
 ``relabel_bands``, ``rotate_attach``, ``mirror_surface``,
 ``append_cancelling_pair`` and ``reverse_band`` are surface moves with a
 known effect on the Gordon-Litherland form, the framing and the Seifert
@@ -701,6 +704,50 @@ def validate_diagram(d: CrossingList) -> list[str]:
             if not 0 <= c < d.n_components:
                 problems.append(f"crossing {k} {role} component {c} out of range")
     return problems
+
+
+def curve_crossings(F: BandSurface, keys) -> tuple[dict, list[tuple[int, int, int]]]:
+    """The components of each valid request key and the (sign, over
+    component, under component) crossings the curve compiler lists, from
+    one flat list of strands (band, height, component) in request order.
+
+    At a route event every strand of the over band crosses every strand
+    of the under band. On the disk every pair of strands on interleaved
+    bands crosses once: the higher strand goes over, at equal height the
+    one on the lower band index, and the sign is the ``_crossing_chords``
+    sign when the lower band's strand is over and its negative otherwise.
+    """
+    strands: list[tuple[int, int, int]] = []
+    components = {}
+    n_comp = 0
+    for key in keys:
+        i = key[1]
+        if key[0] == "tau":
+            comps = (n_comp, n_comp + 1) if F.half_twists[i] % 2 == 0 else (n_comp,)
+            strands += [(i, 1, comps[0]), (i, -1, comps[-1])]
+        else:
+            comps = (n_comp,)
+            strands.append((i, key[2] if key[0] == "pushoff" else 0, n_comp))
+        components[key] = comps
+        n_comp += len(comps)
+    crossings = [
+        (ev.sign, x, y)
+        for ev in F.route
+        for bx, _, x in strands
+        if bx == ev.over[0]
+        for by, _, y in strands
+        if by == ev.under[0]
+    ]
+    chords = _crossing_chords(F.attach)
+    for a in range(len(strands)):
+        for b in range(a + 1, len(strands)):
+            s1, s2 = strands[a], strands[b]
+            d = chords.get((min(s1[0], s2[0]), max(s1[0], s2[0])))
+            if d is None:
+                continue
+            over, under = (s1, s2) if (s1[1], -s1[0]) > (s2[1], -s2[0]) else (s2, s1)
+            crossings.append((d if over[0] < under[0] else -d, over[2], under[2]))
+    return components, crossings
 
 
 def twist_box_over_counts(directions, h) -> dict[tuple[int, int], int]:

@@ -10,6 +10,11 @@ every crossing. The ``all`` digests were re-recorded with the same
 compiler each time a request kind left it (the gamma curves, then the
 boundary K and its longitude lambda).
 
+``test_compiled_crossings_match_the_all_pairs_oracle`` compares the
+compiler with ``oracles.curve_crossings`` at the benchmark's sizes, 8 to
+24 bands and 40 to 201 route events; the digest cases reach at most 11
+bands and 27 events.
+
 Each ``framing`` case pins ``framing(F)`` on the same surfaces, as the
 compiler gave it by linking K with lambda before the framing was read off
 the surface data. Re-record with
@@ -26,8 +31,14 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from knotbands.bandform import compile_curves, framing, klein_bottle_for_cables
-from knotbands.battery import random_band_surface, random_normal_form
+import oracles
+from knotbands.bandform import BandSurface, compile_curves, framing, klein_bottle_for_cables
+from knotbands.battery import (
+    _balancing_events,
+    _extra_events,
+    random_band_surface,
+    random_normal_form,
+)
 from knotbands.presets import get_preset, preset_names
 
 DATA = Path(__file__).parent / "data" / "compiled_crossings.json"
@@ -126,6 +137,36 @@ def test_cases_cover_every_request_kind():
                 else:
                     kinds.add(key[0])
     assert kinds == {"core", "pushoff", ("tau", 0), ("tau", 1)}
+
+
+def _large_surface(rng, n, target, orientable):
+    """A surface on n bands with at least ``target`` route events, drawn
+    like the benchmark's surfaces inputs: one balancing event per
+    interleaved band pair, then cancelling pairs, clasps and self events."""
+    while True:
+        twists = [2 * rng.randint(-2, 2) if orientable else rng.randint(-5, 5) for _ in range(n)]
+        if not orientable and all(h % 2 == 0 for h in twists):
+            twists[0] += 1
+        attach = [(i, e) for i in range(n) for e in "AB"]
+        rng.shuffle(attach)
+        if oracles._boundary_circles(twists, attach) == 1:
+            break
+    events, slot = _balancing_events(rng, oracles._crossing_chords(attach))
+    while len(events) < target:
+        events += _extra_events(rng, n, slot, rng.choice(("pair", "clasp", "self")))
+    return BandSurface.build(twists, attach, events)
+
+
+def test_compiled_crossings_match_the_all_pairs_oracle():
+    rng = random.Random(1)
+    for k, (n, target) in enumerate((n, e) for n in (8, 12, 16, 20, 24) for e in (40, 120, 200)):
+        F = _large_surface(rng, n, target, orientable=k % 2 == 0)
+        for kind, keys in _request_lists(F).items():
+            cc = compile_curves(F, keys)
+            components, want = oracles.curve_crossings(F, keys)
+            label = f"{n} bands, {len(F.route)} events, requests={kind}"
+            assert cc.components == components, label
+            assert Counter(map(_triple, cc.diagram.crossings)) == Counter(want), label
 
 
 if __name__ == "__main__":
