@@ -11,11 +11,11 @@ diagonalization of an integer matrix with no rounding anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import (
     LaurentPoly,
     det_int,
-    det_pencil,
     inertia,
     int_matrix,
     signature_exact,
@@ -52,7 +52,11 @@ class Omega(Record):
         "1/2"; floats and bools are rejected, not converted."""
         if type(s) is bool or not isinstance(s, (int, Fraction, str)):
             raise ValueError(f"s must be an integer, a Fraction or a string, got {s!r}")
-        return Omega(Fraction(s))
+        try:
+            s = Fraction(s)
+        except ZeroDivisionError:  # "1/0"
+            raise ValueError(f"s must be a rational number, got {s!r}") from None
+        return Omega(s)
 
     @staticmethod
     def minus_one() -> "Omega":
@@ -88,10 +92,7 @@ class Omega(Record):
             # 0.5 and true are rejected, not read as 1/2 and "True"
             if type(s) not in (int, str):
                 raise ValueError(f"s must be a JSON integer or a string, got {s!r}")
-            try:
-                return Omega.from_s(s)
-            except ZeroDivisionError:  # "1/0"
-                raise ValueError(f"s must be a rational number, got {s!r}") from None
+            return Omega.from_s(s)
         raise ValueError("sample point needs an 'omega' or 's' field")
 
 
@@ -137,11 +138,80 @@ def _normalize_alexander(p: LaurentPoly) -> LaurentPoly:
     raise ValueError(f"degenerate presentation: value {at_one} at t=1")
 
 
+def _nodes(count: int) -> list[int]:
+    """x = 1, -1, 2, -2, ...: count points whose x + 1/x are distinct."""
+    return [(k // 2 + 1) * (1 - 2 * (k % 2)) for k in range(count)]
+
+
+@lru_cache(maxsize=32)
+def _palindromic_solver(g: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(R, c), c != 0, with R (P(x_0), ..., P(x_g)) = c (p_0, ..., p_g)
+    for every P(x) = p_g x^g + sum_{j<g} p_j (x^j + x^(2g-j)) and the
+    nodes x_i of _nodes(g + 1).
+
+    The values are M p with M[i][j] = x_i^j + x_i^(2g-j) (j < g) and
+    M[i][g] = x_i^g. M is invertible: P(x) / x^g is a polynomial of
+    degree g in y = x + 1/x, and the nodes give g + 1 distinct y.
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [M | I] ends at
+    [c I | R] with every division exact, and R M = c I as R is the
+    product of the row steps.
+    """
+    rows = [
+        [x**j + x ** (2 * g - j) for j in range(g)] + [x**g] + [int(i == k) for k in range(g + 1)]
+        for i, x in enumerate(_nodes(g + 1))
+    ]
+    prev = 1
+    for k in range(g + 1):
+        i = next(i for i in range(k, g + 1) if rows[i][k])
+        rows[k], rows[i] = rows[i], rows[k]
+        rk = rows[k]
+        akk = rk[k]
+        rows = [
+            ri if i == k else [(akk * a - ri[k] * b) // prev for a, b in zip(ri, rk)]
+            for i, ri in enumerate(rows)
+        ]
+        prev = akk
+    return tuple(tuple(row[g + 1 :]) for row in rows), prev
+
+
 def alexander(seifert) -> LaurentPoly:
-    """det(V - t V^T), symmetric under t <-> 1/t and +1 at t=1."""
+    """det(V - t V^T), symmetric under t <-> 1/t and +1 at t=1.
+
+    P(x) = det(V - x V^T) has degree at most n, and transposing gives
+    P(x) = (-x)^n P(1/x). For n = 2g, P is palindromic, so its
+    coefficients p_0..p_g fix it, and g + 1 values at _nodes fix those:
+    one det_int each, none at the singular-prone x = 0.
+    _palindromic_solver turns the values into p exactly. P(1) =
+    det(V - V^T) must be +-1 and is the sign that normalizes Delta =
+    P(1) t^(-g) P(t). For odd n, P is anti-palindromic: P(1) = 0 and
+    P(x) / (1 - x) is palindromic of degree n - 1, so P vanishes
+    identically iff it vanishes at the (n + 1)/2 nodes other than 1; a
+    nonzero P has odd lo + hi = n and no centre. A degenerate V raises
+    the first of _normalize_alexander's errors that applies.
+    """
     V = _as_matrix(seifert)
-    minus_vt = [[-x for x in col] for col in zip(*V)]
-    return _normalize_alexander(det_pencil(V, minus_vt))
+    g, odd = divmod(len(V), 2)
+
+    def at(x: int) -> int:
+        return det_int([[u - x * w for u, w in zip(row, col)] for row, col in zip(V, zip(*V))])
+
+    nodes = _nodes(g + 1 + odd)
+    if odd:
+        if any(map(at, nodes[1:])):
+            raise ValueError("degenerate presentation: support cannot be centered")
+        raise ValueError("degenerate presentation: zero Alexander determinant")
+    values = [at(x) for x in nodes]
+    if not any(values):
+        raise ValueError("degenerate presentation: zero Alexander determinant")
+    at_one = values[0]
+    if at_one not in (1, -1):
+        raise ValueError(f"degenerate presentation: value {at_one} at t=1")
+    R, c = _palindromic_solver(g)
+    p = [at_one * (sum(r * v for r, v in zip(row, values)) // c) for row in R]
+    coeffs = {0: p[g]}
+    for j in range(g):
+        coeffs[j - g] = coeffs[g - j] = p[j]
+    return LaurentPoly(coeffs)
 
 
 def _symmetrized(V: Matrix) -> list[list[int]]:

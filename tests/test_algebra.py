@@ -430,6 +430,37 @@ class TestSmithModDet:
         assert kinds == {(False, False), (False, True), (True, False), (True, True)}
         assert smith_normal_form(DENSE) == _determinantal_factors(DENSE) == ((6, 6, 6, 4056), 4)
 
+    def test_dense_large_entries_agree_with_determinantal_divisors(self):
+        # the reduction over Z explodes on such input (see _random_matrix);
+        # the gcds of all k x k minors are the oracle instead: for every
+        # shape up to 5 x 5 and every rank r, two dense matrices, entries
+        # up to 10^3, drawn whole at full rank and as a product of
+        # rows x r and r x cols factors below it
+        import random
+
+        rng = random.Random(22)
+        for rows in range(1, 6):
+            for cols in range(1, 6):
+                for r in range(min(rows, cols) + 1):
+                    for _ in range(2):
+                        while True:
+                            if r == min(rows, cols):
+                                m = [[rng.randint(-1000, 1000) for _ in range(cols)] for _ in range(rows)]
+                            else:
+                                left = [[rng.randint(-10, 10) for _ in range(r)] for _ in range(rows)]
+                                right = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(r)]
+                                m = [
+                                    [sum(left[i][k] * right[k][j] for k in range(r)) for j in range(cols)]
+                                    for i in range(rows)
+                                ]
+                            want = _determinantal_factors(m)
+                            if want[1] == r:
+                                break
+                        assert max(abs(x) for row in m for x in row) <= 1000
+                        start = time.perf_counter()
+                        assert smith_normal_form(m) == want, m
+                        assert time.perf_counter() - start < 0.5
+
     def test_agrees_with_reduction_over_z(self):
         import random
 

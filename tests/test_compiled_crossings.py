@@ -12,8 +12,10 @@ boundary K and its longitude lambda).
 
 ``test_compiled_crossings_match_the_all_pairs_oracle`` compares the
 compiler with ``oracles.curve_crossings`` at the benchmark's sizes, 8 to
-24 bands and 40 to 201 route events; the digest cases reach at most 11
-bands and 27 events.
+24 bands and 40 to 201 route events. The ``random_band_surface`` digest
+cases with ``max_bands=12, max_events=40`` reach at most 11 bands and 27
+events, so the ``large_surface`` cases pin 8, 10 and 12 bands with at
+least 40 events, both orientable and not.
 
 Each ``framing`` case pins ``framing(F)`` on the same surfaces, as the
 compiler gave it by linking K with lambda before the framing was read off
@@ -21,7 +23,8 @@ the surface data. Re-record with
 
     PYTHONPATH=src python tests/test_compiled_crossings.py --record
 
-only in a change meant to alter what the compiler emits or a framing.
+only in a change meant to alter what the compiler emits or a framing,
+or to add cases; it prints the pins it adds, changes and removes.
 """
 
 import hashlib
@@ -45,6 +48,9 @@ DATA = Path(__file__).parent / "data" / "compiled_crossings.json"
 
 CABLE_PS = (2001, -2001, -7, 1, -1, 3, 401)
 CABLE_CORES = (("trefoil", "t25"), ("unknot", "trefoil"), ("t25", "unknot"))
+# digest cases at the sizes the random ones ask for and do not reach
+LARGE_BANDS = (8, 10, 12)
+LARGE_EVENTS = 40
 
 
 def _triple(x):
@@ -83,6 +89,10 @@ def _surfaces():
         pk = get_preset(name)
         yield f"preset {name} orientable", pk.orientable_surface
         yield f"preset {name} nonorientable", pk.nonorientable_surface
+    for n in LARGE_BANDS:
+        for orientable in (False, True):
+            F = _large_surface(random.Random(n), n, LARGE_EVENTS, orientable)
+            yield f"large_surface bands={n} orientable={orientable}", F
 
 
 def digest(cc) -> str:
@@ -139,6 +149,15 @@ def test_cases_cover_every_request_kind():
     assert kinds == {"core", "pushoff", ("tau", 0), ("tau", 1)}
 
 
+def test_large_cases_reach_the_sizes_they_pin():
+    sizes = {
+        (F.n_bands, F.orientable, len(F.route) >= LARGE_EVENTS)
+        for label, F in _surfaces()
+        if label.startswith("large_surface")
+    }
+    assert sizes == {(n, o, True) for n in LARGE_BANDS for o in (False, True)}
+
+
 def _large_surface(rng, n, target, orientable):
     """A surface on n bands with at least ``target`` route events, drawn
     like the benchmark's surfaces inputs: one balancing event per
@@ -172,6 +191,15 @@ def test_compiled_crossings_match_the_all_pairs_oracle():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit("usage: python tests/test_compiled_crossings.py --record")
+    old = json.loads(DATA.read_text())
     data = {**compute_digests(), **compute_framings()}
     DATA.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    for verb, keys in (
+        ("added", data.keys() - old.keys()),
+        ("changed", {k for k in data.keys() & old.keys() if data[k] != old[k]}),
+        ("removed", old.keys() - data.keys()),
+    ):
+        print(f"{len(keys)} {verb}")
+        for key in sorted(keys):
+            print(f"  {key}")
     print(f"wrote {len(data)} pins to {DATA}")

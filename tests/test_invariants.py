@@ -74,6 +74,16 @@ class TestOmega:
         with pytest.raises(ValueError, match="s must be an integer, a Fraction or a string"):
             Omega.from_s(s)
 
+    @pytest.mark.parametrize("s", ["1/0", "0/0", "abc", 0], ids=repr)
+    def test_from_s_rejects_malformed_s_with_value_error(self, s):
+        # a zero denominator is a ValueError like any other bad s, not a
+        # ZeroDivisionError
+        with pytest.raises(ValueError) as got:
+            Omega.from_s(s)
+        assert type(got.value) is ValueError
+        if "/0" in str(s):
+            assert str(got.value) == f"s must be a rational number, got {s!r}"
+
     def test_squared(self):
         assert Omega.minus_one().squared() is None
         assert Omega.from_s(1).squared() == Omega.minus_one()
@@ -344,19 +354,123 @@ class TestDeterminantAndArf:
             arf(((1, 0),))
 
     def test_no_alexander_polynomial_is_built(self, monkeypatch):
-        # the knot determinant, the Arf invariant and det_int are one
-        # integer determinant each; det_pencil here would be the redundant
-        # Delta coming back
-        def refuse(a, b):
-            raise AssertionError("det_pencil called")
+        # the knot determinant and the Arf invariant are two integer
+        # determinants each, det(V - V^T) and det(V + V^T); alexander or
+        # det_pencil here would be the redundant Delta coming back
+        def refuse(*args):
+            raise AssertionError("Delta built")
 
-        monkeypatch.setattr(invariants, "det_pencil", refuse)
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return algebra.det_int(rows)
+
+        monkeypatch.setattr(invariants, "alexander", refuse)
+        monkeypatch.setattr(invariants, "det_int", counted)
         monkeypatch.setattr(algebra, "det_pencil", refuse)
         v = oracles.seifert_from_braid(oracles.T35_WORD)
         assert determinant_knot(seifert=v) == 1
         assert arf(v) == 0
         assert determinant_knot(seifert=FIGURE_EIGHT) == 5
         assert arf(TREFOIL) == 1
+        assert len(calls) == 8
         assert algebra.det_int([[2, 1], [1, 2]]) == 3
-        with pytest.raises(AssertionError, match="det_pencil called"):
-            alexander(TREFOIL)
+        # a degenerate V still hands over to alexander for its error text
+        with pytest.raises(AssertionError, match="Delta built"):
+            arf(((1, 0), (0, 1)))
+
+
+def _workload_braid_word(rng: random.Random, rank: int) -> list[int]:
+    """A braid word whose closure is a knot with a rank-`rank` Seifert
+    matrix, drawn as the seifert benchmark workload draws them: s strands,
+    rank + s - 1 letters, every generator used."""
+    while True:
+        s = rng.randint(2, 5)
+        word = [rng.randint(1, s - 1) * rng.choice((1, -1)) for _ in range(rank + s - 1)]
+        if {abs(c) for c in word} == set(range(1, s)) and oracles.braid_closure_components(word) == 1:
+            return word
+
+
+def _pencil(v, x: int) -> list[list[int]]:
+    n = len(v)
+    return [[v[i][j] - x * v[j][i] for j in range(n)] for i in range(n)]
+
+
+class TestAlexanderFromNodes:
+    """alexander reads Delta off g + 1 values of the palindromic
+    det(V - x V^T) at x = 1, -1, 2, -2, ...; these pin it against
+    Bareiss elimination over Z[t] (oracles.alexander_laurent)."""
+
+    def test_agrees_with_laurent_bareiss_on_workload_braids(self):
+        rng = random.Random(29)
+        for rank in range(2, 21, 2):
+            for _ in range(3):
+                v = oracles.seifert_from_braid(_workload_braid_word(rng, rank))
+                assert len(v) == rank
+                assert alexander(v) == oracles.alexander_laurent(v), v
+
+    @pytest.mark.parametrize("name", ["unknot", "trefoil", "figure-eight", "t25"])
+    def test_agrees_with_laurent_bareiss_on_congruent_presets(self, name):
+        v = get_preset(name).seifert
+        rng = random.Random(name)
+        for _ in range(10):
+            w = conjugate(v, random_unimodular(rng, len(v)))
+            assert alexander(w) == oracles.alexander_laurent(w) == alexander(v)
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            ALWAYS_SINGULAR,
+            ((1, 0), (0, 1)),
+            ((0, 0), (0, 0)),
+            ((0, 2), (0, 0)),
+            ((1,),),
+            ((0,),),
+            ((1, 1, 0), (0, 1, 0), (0, 0, 2)),
+            ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+            # P(1) = 0 but P is not zero: the value error, not the zero one
+            ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+            ((0, 2, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)),
+        ],
+    )
+    def test_degenerate_v_raises_the_oracles_error(self, v):
+        with pytest.raises(ValueError) as got:
+            alexander(v)
+        with pytest.raises(ValueError) as want:
+            oracles.alexander_laurent(v)
+        assert type(got.value) is type(want.value) is ValueError
+        assert str(got.value) == str(want.value)
+
+    def test_g_plus_one_determinants_and_none_at_zero(self, monkeypatch):
+        seen = []
+
+        def counted(rows):
+            seen.append(rows)
+            return algebra.det_int(rows)
+
+        monkeypatch.setattr(invariants, "det_int", counted)
+        rng = random.Random(7)
+        for rank in (0, 2, 4, 10, 20):
+            v = oracles.seifert_from_braid(_workload_braid_word(rng, rank)) if rank else []
+            seen.clear()
+            alexander(v)
+            nodes = [1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6][: rank // 2 + 1]
+            assert seen == [_pencil(v, x) for x in nodes]
+        # odd n: P(1) = 0 always, and (n + 1)/2 more values decide P = 0
+        zero = [[0] * 5 for _ in range(5)]
+        seen.clear()
+        with pytest.raises(ValueError, match="zero Alexander determinant"):
+            alexander(zero)
+        assert seen == [_pencil(zero, x) for x in (-1, 2, -2)]
+
+    def test_solver_inverts_the_node_matrix(self):
+        for g in range(13):
+            R, c = invariants._palindromic_solver(g)
+            nodes = [(k // 2 + 1) * (-1) ** k for k in range(g + 1)]
+            m = [[x**j + x ** (2 * g - j) for j in range(g)] + [x**g] for x in nodes]
+            assert c != 0
+            assert [
+                [sum(R[i][k] * m[k][j] for k in range(g + 1)) for j in range(g + 1)]
+                for i in range(g + 1)
+            ] == [[c * (i == j) for j in range(g + 1)] for i in range(g + 1)]

@@ -433,7 +433,7 @@ class TestIntegerDeterminantOracle:
 
 
 class TestAlexanderOracle:
-    """alexander, and det_pencil under it, against Bareiss elimination
+    """alexander and det_pencil against Bareiss elimination
     over Z[t] (oracles.det_laurent), which shares no code with det_int,
     and against cofactor expansion."""
 
