@@ -1,10 +1,10 @@
 """Exact algebra substrate: the integer Laurent polynomial as a value
 (product, negation, shift, t -> t^k, evaluation; no ring sum), one check
 of integer-matrix input, one fraction-free elimination that gives the
-rank and a nonzero maximal minor, the integer determinant and
-det(A + tB) from it, Smith normal form modulo that minor, congruence
-signatures of symmetric matrices, and invariants of finitely presented
-abelian groups.
+rank and a nonzero maximal minor, the integer determinant from it, one
+fraction-free solver that reads det(A + tB) off n + 1 of its values,
+Smith normal form modulo that minor, congruence signatures of symmetric
+matrices, and invariants of finitely presented abelian groups.
 
 No floating point is used anywhere; all arithmetic is over unbounded
 integers and rationals.
@@ -183,7 +183,8 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int]:
     the trailing block is zero, every minor that borders the leading
     r x r one is 0 and the rank is r. The minor comes back with the sign
     of the swaps, so for a square matrix of full rank it is det(a). This
-    is the library's one elimination over Z.
+    is the library's one triangular elimination over Z; _scaled_inverse
+    takes the same step above the pivot as well, to invert.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -212,16 +213,40 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int]:
     return min(m, n), sign * prev
 
 
+def _scaled_inverse(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(R, c), c != 0, with R M = c I for an invertible square integer M.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [M | I] ends at
+    [c I | R], every division by the previous pivot exact, and R is the
+    product of the row steps. det_pencil and alexander read polynomial
+    coefficients off values with this, the library's one exact solver.
+    """
+    n = len(m)
+    rows = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        i = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[i] = rows[i], rows[k]
+        rk = rows[k]
+        akk = rk[k]
+        rows = [
+            ri if i == k else [(akk * a - ri[k] * b) // prev for a, b in zip(ri, rk)]
+            for i, ri in enumerate(rows)
+        ]
+        prev = akk
+    return tuple(tuple(row[n:]) for row in rows), prev
+
+
 def det_pencil(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> LaurentPoly:
     """det(A + tB) for square integer matrices A and B of one size.
 
     P(x) = det(A + xB) has degree at most n and leading coefficient
-    det(B). In Newton's form P(x) = sum_k c_k x(x-1)...(x-k+1) that makes
-    c_n = det(B), and c_k for k < n is the k-th forward difference of the
-    values at x = 0..n-1 over k!, exact with ``//`` because P has integer
-    coefficients. Horner's rule then expands the form in powers of t.
-    Every value is one det_int, and det_int(A) and det_int(B) check the
-    entries. The empty matrix gives 1.
+    det(B), so its coefficients p solve M p = (P(0), ..., P(n-1), det B)
+    with row x of M the powers (1, x, ..., x^n) and a last row e_n. M is
+    invertible, a Vandermonde block over a unit row, and with R M = c I
+    from _scaled_inverse each p_j is one exact division. Every value is
+    one det_int, and det_int(A) and det_int(B) check the entries. The
+    empty matrix gives 1.
     """
     values = [det_int(a)]
     top = det_int(b)
@@ -232,20 +257,11 @@ def det_pencil(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Lauren
         det_int([[u + x * v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)])
         for x in range(1, n)
     ]
-    newton = []
-    factorial = 1
-    for k in range(n):
-        factorial *= k or 1
-        newton.append(values[0] // factorial)
-        values = [q - p for p, q in zip(values, values[1:])]
-    # coeffs, lowest power first, of c_k + (x - k)(c_{k+1} + ...)
-    coeffs = [top]
-    for k in range(n - 1, -1, -1):
-        coeffs = [0] + coeffs
-        for i in range(len(coeffs) - 1):
-            coeffs[i] -= k * coeffs[i + 1]
-        coeffs[0] += newton[k]
-    return LaurentPoly(dict(enumerate(coeffs)))
+    values[n:] = [top]  # for n = 0, P(0) = 1 = det B is the only value
+    R, c = _scaled_inverse([[x**j for j in range(n + 1)] for x in range(n)] + [[0] * n + [1]])
+    return LaurentPoly(
+        {j: sum(r * v for r, v in zip(row, values)) // c for j, row in enumerate(R)}
+    )
 
 
 def transpose(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

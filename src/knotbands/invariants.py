@@ -15,7 +15,9 @@ from functools import lru_cache
 
 from .algebra import (
     LaurentPoly,
+    _scaled_inverse,
     det_int,
+    det_pencil,
     inertia,
     int_matrix,
     signature_exact,
@@ -49,9 +51,12 @@ class Omega(Record):
     @staticmethod
     def from_s(s) -> "Omega":
         """The point for s given as an int, a Fraction or a string such as
-        "1/2"; floats and bools are rejected, not converted."""
+        "1/2"; floats, bools and exponent notation ("1e4000" is a 4001-digit
+        s for six characters) are rejected, not converted."""
         if type(s) is bool or not isinstance(s, (int, Fraction, str)):
             raise ValueError(f"s must be an integer, a Fraction or a string, got {s!r}")
+        if isinstance(s, str) and "e" in s.lower():
+            raise ValueError(f"s must be written without an exponent, got {s!r}")
         try:
             s = Fraction(s)
         except ZeroDivisionError:  # "1/0"
@@ -150,62 +155,39 @@ def _palindromic_solver(g: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     nodes x_i of _nodes(g + 1).
 
     The values are M p with M[i][j] = x_i^j + x_i^(2g-j) (j < g) and
-    M[i][g] = x_i^g. M is invertible: P(x) / x^g is a polynomial of
-    degree g in y = x + 1/x, and the nodes give g + 1 distinct y.
-    Fraction-free Gauss-Jordan elimination (Bareiss) on [M | I] ends at
-    [c I | R] with every division exact, and R M = c I as R is the
-    product of the row steps.
+    M[i][g] = x_i^g, and _scaled_inverse gives R M = c I. M is
+    invertible: P(x) / x^g is a polynomial of degree g in y = x + 1/x,
+    and the nodes give g + 1 distinct y.
     """
-    rows = [
-        [x**j + x ** (2 * g - j) for j in range(g)] + [x**g] + [int(i == k) for k in range(g + 1)]
-        for i, x in enumerate(_nodes(g + 1))
-    ]
-    prev = 1
-    for k in range(g + 1):
-        i = next(i for i in range(k, g + 1) if rows[i][k])
-        rows[k], rows[i] = rows[i], rows[k]
-        rk = rows[k]
-        akk = rk[k]
-        rows = [
-            ri if i == k else [(akk * a - ri[k] * b) // prev for a, b in zip(ri, rk)]
-            for i, ri in enumerate(rows)
-        ]
-        prev = akk
-    return tuple(tuple(row[g + 1 :]) for row in rows), prev
+    return _scaled_inverse(
+        [[x**j + x ** (2 * g - j) for j in range(g)] + [x**g] for x in _nodes(g + 1)]
+    )
 
 
 def alexander(seifert) -> LaurentPoly:
     """det(V - t V^T), symmetric under t <-> 1/t and +1 at t=1.
 
     P(x) = det(V - x V^T) has degree at most n, and transposing gives
-    P(x) = (-x)^n P(1/x). For n = 2g, P is palindromic, so its
-    coefficients p_0..p_g fix it, and g + 1 values at _nodes fix those:
-    one det_int each, none at the singular-prone x = 0.
-    _palindromic_solver turns the values into p exactly. P(1) =
-    det(V - V^T) must be +-1 and is the sign that normalizes Delta =
-    P(1) t^(-g) P(t). For odd n, P is anti-palindromic: P(1) = 0 and
-    P(x) / (1 - x) is palindromic of degree n - 1, so P vanishes
-    identically iff it vanishes at the (n + 1)/2 nodes other than 1; a
-    nonzero P has odd lo + hi = n and no centre. A degenerate V raises
-    the first of _normalize_alexander's errors that applies.
+    P(x) = (-x)^n P(1/x). P(1) = det(V - V^T) comes first: it must be
+    +-1, and it is the sign that normalizes Delta = P(1) t^(-g) P(t).
+    Then n = 2g, since a skew-symmetric matrix of odd size has
+    determinant 0, and P is palindromic, so its coefficients p_0..p_g
+    fix it, and g + 1 values at _nodes fix those: one det_int each, none
+    at the singular-prone x = 0. _palindromic_solver turns the values
+    into p exactly. Any other P(1) hands det_pencil(V, -V^T) to
+    _normalize_alexander, which raises the first of its errors that
+    applies.
     """
     V = _as_matrix(seifert)
-    g, odd = divmod(len(V), 2)
+    g = len(V) // 2
 
     def at(x: int) -> int:
         return det_int([[u - x * w for u, w in zip(row, col)] for row, col in zip(V, zip(*V))])
 
-    nodes = _nodes(g + 1 + odd)
-    if odd:
-        if any(map(at, nodes[1:])):
-            raise ValueError("degenerate presentation: support cannot be centered")
-        raise ValueError("degenerate presentation: zero Alexander determinant")
-    values = [at(x) for x in nodes]
-    if not any(values):
-        raise ValueError("degenerate presentation: zero Alexander determinant")
-    at_one = values[0]
+    at_one = at(1)
     if at_one not in (1, -1):
-        raise ValueError(f"degenerate presentation: value {at_one} at t=1")
+        return _normalize_alexander(det_pencil(V, [[-w for w in col] for col in zip(*V)]))
+    values = [at_one] + [at(x) for x in _nodes(g + 1)[1:]]
     R, c = _palindromic_solver(g)
     p = [at_one * (sum(r * v for r, v in zip(row, values)) // c) for row in R]
     coeffs = {0: p[g]}

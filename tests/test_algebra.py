@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from knotbands.algebra import (
     AbelianInvariants,
     LaurentPoly,
+    _scaled_inverse,
     det_int,
     det_pencil,
     fp_abelian_invariants,
@@ -162,6 +163,24 @@ class TestDeterminants:
         a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         assert det_pencil(a, b) == det_cofactor_zt(pencil(a, b))
+
+    def test_scaled_inverse(self):
+        import random
+
+        rng = random.Random(30)
+        checked = 0
+        while checked < 200:
+            n = rng.randint(0, 6)
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if not det_int(m):
+                continue
+            R, c = _scaled_inverse(m)
+            # c is the last pivot, the determinant up to the sign of the swaps
+            assert abs(c) == abs(det_int(m))
+            assert [
+                [sum(R[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)
+            ] == [[c * (i == j) for j in range(n)] for i in range(n)], m
+            checked += 1
 
     def test_row_swap_flips_sign(self):
         a, b = [[0, 1], [2, 0]], [[1, 0], [0, 1]]

@@ -502,6 +502,22 @@ class TestMalformedSamples:
         ],
         ids=["invariants", "obstruct-cable"],
     )
+    def test_s_in_exponent_notation(self, capsys, verb):
+        # "1e200000" was read as a 200001-digit s: the legs were computed,
+        # and then printing s exceeded CPython's integer string limit
+        code, out, err = call(capsys, *verb, "--samples", '[{"s":"1e200000"}]')
+        assert code == 1
+        assert out == ""
+        assert err == "error: s must be written without an exponent, got '1e200000'\n"
+
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ("invariants", "--preset", "trefoil"),
+            ("obstruct-cable", "--presetK", "trefoil", "--presetJ", "unknot", "-p", "3"),
+        ],
+        ids=["invariants", "obstruct-cable"],
+    )
     def test_omega_and_s_together(self, capsys, verb):
         # {"omega": -1, "s": "1/2"} was evaluated at omega = -1
         code, out, err = call(capsys, *verb, "--samples", '[{"omega":-1,"s":"1/2"}]')

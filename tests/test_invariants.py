@@ -63,6 +63,7 @@ class TestOmega:
         assert oracles.omega_trig(Fraction(1, 2)) == (Fraction(3, 5), Fraction(4, 5))
         assert Omega.from_s(1) == Omega(Fraction(1))
         assert Omega.from_s("1/10").label() == "s=1/10"
+        assert Omega.from_s("0.25") == Omega.from_s("1/4")
         assert Omega.minus_one().s is None
         with pytest.raises(ValueError, match="omega = 1 is excluded"):
             Omega.from_s(0)  # s = 0 lands on the excluded point
@@ -83,6 +84,13 @@ class TestOmega:
         assert type(got.value) is ValueError
         if "/0" in str(s):
             assert str(got.value) == f"s must be a rational number, got {s!r}"
+
+    @pytest.mark.parametrize("s", ["1e4000", "1E3", "2.5e-1", "1e200000"], ids=repr)
+    def test_from_s_rejects_exponent_notation(self, s):
+        # the exponent would make s far larger than the string that names it
+        with pytest.raises(ValueError) as got:
+            Omega.from_s(s)
+        assert str(got.value) == f"s must be written without an exponent, got {s!r}"
 
     def test_squared(self):
         assert Omega.minus_one().squared() is None
@@ -392,6 +400,14 @@ def _workload_braid_word(rng: random.Random, rank: int) -> list[int]:
             return word
 
 
+def _outcome(f, v):
+    """f(v), or the type and text of the exception it raised."""
+    try:
+        return f(v)
+    except Exception as e:
+        return type(e), str(e)
+
+
 def _pencil(v, x: int) -> list[list[int]]:
     n = len(v)
     return [[v[i][j] - x * v[j][i] for j in range(n)] for i in range(n)]
@@ -442,6 +458,25 @@ class TestAlexanderFromNodes:
         assert type(got.value) is type(want.value) is ValueError
         assert str(got.value) == str(want.value)
 
+    def test_degenerate_sweep_matches_the_oracle(self):
+        # small dense V of every size 0-7 reach all three degenerate
+        # texts, "value 0 at t=1" (P(1) = 0 with P != 0) among them
+        rng = random.Random(30)
+        seen = set()
+        for _ in range(1000):
+            n, k = rng.randint(0, 7), rng.randint(1, 3)
+            v = [[rng.randint(-k, k) for _ in range(n)] for _ in range(n)]
+            got = _outcome(alexander, v)
+            assert got == _outcome(oracles.alexander_laurent, v), v
+            seen.add(got[1] if isinstance(got, tuple) else "valid")
+        assert {
+            "valid",
+            "degenerate presentation: zero Alexander determinant",
+            "degenerate presentation: support cannot be centered",
+            "degenerate presentation: value 0 at t=1",
+        } <= seen
+        assert all(t == "valid" or t.startswith("degenerate presentation: ") for t in seen)
+
     def test_g_plus_one_determinants_and_none_at_zero(self, monkeypatch):
         seen = []
 
@@ -449,7 +484,14 @@ class TestAlexanderFromNodes:
             seen.append(rows)
             return algebra.det_int(rows)
 
+        pencils = []
+
+        def handed(a, b):
+            pencils.append((a, b))
+            return algebra.det_pencil(a, b)
+
         monkeypatch.setattr(invariants, "det_int", counted)
+        monkeypatch.setattr(invariants, "det_pencil", handed)
         rng = random.Random(7)
         for rank in (0, 2, 4, 10, 20):
             v = oracles.seifert_from_braid(_workload_braid_word(rng, rank)) if rank else []
@@ -457,12 +499,19 @@ class TestAlexanderFromNodes:
             alexander(v)
             nodes = [1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6][: rank // 2 + 1]
             assert seen == [_pencil(v, x) for x in nodes]
-        # odd n: P(1) = 0 always, and (n + 1)/2 more values decide P = 0
-        zero = [[0] * 5 for _ in range(5)]
-        seen.clear()
-        with pytest.raises(ValueError, match="zero Alexander determinant"):
-            alexander(zero)
-        assert seen == [_pencil(zero, x) for x in (-1, 2, -2)]
+        assert pencils == []
+        # odd n: P(1) = 0 always, so after P(1) the whole pencil goes to
+        # det_pencil, and _normalize_alexander picks the error
+        for v, text in (
+            ([[0] * 5 for _ in range(5)], "zero Alexander determinant"),
+            ([[1, 1, 0], [0, 1, 0], [0, 0, 2]], "support cannot be centered"),
+        ):
+            seen.clear()
+            pencils.clear()
+            with pytest.raises(ValueError, match=text):
+                alexander(v)
+            assert seen == [_pencil(v, 1)]
+            assert pencils == [(tuple(map(tuple, v)), [[-x for x in col] for col in zip(*v)])]
 
     def test_solver_inverts_the_node_matrix(self):
         for g in range(13):
